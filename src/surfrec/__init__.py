@@ -27,23 +27,23 @@ from .simulate import (
     evaluate, monte_carlo, oracle_gls, radial_covariance_set,
 )
 from .sylvester import (
-    Reflector, SylvesterSystem, householder_vector, solve_deflated,
-    solve_full_rank, sym_sqrt, work_estimate,
+    Factorization, SylvesterSystem, solve_deflated, solve_full_rank, sym_sqrt,
+    work_estimate,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisSet", "BumpSurfaceSpec", "CovarianceSet", "DiffMatrix", "DimensionError",
-    "Dirichlet", "FormatError", "GaussianBump", "Gls", "GradientField", "GridData",
-    "LCurveTikhonov", "MethodSpec", "MonteCarloResult", "NoiseSpec", "Reflector",
+    "Dirichlet", "Factorization", "FormatError", "GaussianBump", "Gls", "GradientField",
+    "GridData", "LCurveTikhonov", "MethodSpec", "MonteCarloResult", "NoiseSpec",
     "SingularSystemError", "SizeGuardError", "Spectral", "SpectralCache", "Surface",
     "SurfrecError", "SylvesterSystem", "Tikhonov", "TrialMetrics", "Weighted",
     "add_noise", "apply_dx", "apply_dy", "assemble", "boundary_frame", "bump_surface",
     "build_cache", "corner", "cosine_basis", "default_bump_spec", "default_lambda_grid",
     "diff_matrix", "evaluate", "filter_factors", "gradient_misfit", "gram_basis",
-    "haar_basis", "householder_vector", "l_curve", "make_basis", "monte_carlo",
-    "oracle_gls", "radial_covariance_set", "read_grid", "reconstruct",
-    "reconstruct_from_cache", "solve_deflated", "solve_full_rank", "sym_sqrt",
-    "tikhonov_coefficients", "work_estimate", "write_grid",
+    "haar_basis", "l_curve", "make_basis", "monte_carlo", "oracle_gls",
+    "radial_covariance_set", "read_grid", "reconstruct", "reconstruct_from_cache",
+    "solve_deflated", "solve_full_rank", "sym_sqrt", "tikhonov_coefficients",
+    "work_estimate", "write_grid",
 ]

@@ -13,7 +13,8 @@ map from the solved parameter matrix back to a height grid:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,14 @@ from .basis import BasisSet
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError
 from .sylvester import SylvesterSystem, solve, sym_sqrt
+
+
+def check_parameter(name: str, value: float) -> None:
+    """Refuse a regularization parameter that is negative or not finite."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"regularization parameter {name} must be finite and non-negative, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,9 @@ class Tikhonov:
     reference: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam < 0 or (self.mu is not None and self.mu < 0):
-            raise ValueError("regularization parameters must be non-negative")
+        check_parameter("lam", self.lam)
+        if self.mu is not None:
+            check_parameter("mu", self.mu)
         if self.degree not in (0, 1, 2):
             raise ValueError(f"degree must be 0, 1, or 2, got {self.degree!r}")
 
@@ -94,19 +104,22 @@ class CovarianceSet:
     xy: np.ndarray
     yx: np.ndarray
     yy: np.ndarray
+    # (root, inverse root) of each covariance by name, from the one
+    # decomposition that also validates it
+    roots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        roots = {}
         for name in ("xx", "xy", "yx", "yy"):
             mat = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, mat)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise DimensionError(f"covariance {name} must be square, got {mat.shape}")
-            scale = max(1.0, np.max(np.abs(mat)))
-            if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
-                raise ValueError(f"covariance {name} is not symmetric")
-            evals = np.linalg.eigvalsh(mat)
-            if evals[0] <= 1e-12 * max(evals[-1], 0.0):
-                raise ValueError(f"covariance {name} is not full-rank SPD")
+            try:
+                roots[name] = sym_sqrt(mat)
+            except ValueError as exc:
+                raise ValueError(f"covariance {name}: {exc}") from None
+        object.__setattr__(self, "roots", roots)
 
     @classmethod
     def identity(cls, m: int, n: int) -> "CovarianceSet":
@@ -224,10 +237,10 @@ def _build_weighted(g, dx, dy, spec: Weighted):
         raise DimensionError("row covariances must be m-by-m")
     if cov.xx.shape[0] != g.n or cov.yx.shape[0] != g.n:
         raise DimensionError("column covariances must be n-by-n")
-    sqrt_xy, isqrt_xy = sym_sqrt(cov.xy)
-    sqrt_yx, isqrt_yx = sym_sqrt(cov.yx)
-    _, isqrt_yy = sym_sqrt(cov.yy)
-    _, isqrt_xx = sym_sqrt(cov.xx)
+    sqrt_xy, isqrt_xy = cov.roots["xy"]
+    sqrt_yx, isqrt_yx = cov.roots["yx"]
+    _, isqrt_yy = cov.roots["yy"]
+    _, isqrt_xx = cov.roots["xx"]
     system = SylvesterSystem(
         a=isqrt_yy @ dy.entries @ sqrt_xy,
         b=isqrt_xx @ dx.entries @ sqrt_yx,

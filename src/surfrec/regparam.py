@@ -1,78 +1,66 @@
-"""SVD diagonalization of the standard-form penalized problem.
+"""Eigen diagonalization of the degree-0 Tikhonov problem.
 
-Computing the SVDs of the two differentiation matrices once turns every
-subsequent regularized solve into an elementwise formula over transformed
-gradient coefficients, so a whole sweep of regularization parameters (an
-L-curve) costs little more than the two decompositions.
+Degree-0 Tikhonov with mu = lam adds 2 lam^2 to every eigenvalue of the
+GLS Sylvester operator and changes nothing else, so factoring the two
+coefficient matrices D_y.T D_y and D_x.T D_x once
+(:class:`~surfrec.sylvester.Factorization`) turns every subsequent
+regularized solve into an elementwise formula over the transformed
+right-hand side; a whole sweep of regularization parameters (an L-curve)
+costs little more than the two symmetric eigendecompositions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffops import DiffMatrix, GradientField, Surface
 from .errors import DimensionError
-
-_NULL_REL = 1e-10
+from .methods import check_parameter, gradient_misfit
+from .sylvester import Factorization
 
 
 @dataclass(frozen=True)
 class SpectralCache:
-    """SVD-derived quantities enabling cheap per-parameter evaluation.
+    """Quantities enabling cheap per-parameter evaluation.
 
-    ``svals_x``/``svals_y`` are the singular values of the x and y operators
-    (descending, exactly one numerically zero each); ``right_x``/``right_y``
-    the corresponding right singular vectors; ``grad_x_t``/``grad_y_t`` the
-    measured gradient components expressed in the transformed coordinates.
+    ``factors`` holds the eigendecompositions of P = D_y.T D_y and
+    Q = D_x.T D_x (each with exactly one numerically zero eigenvalue, the
+    constant of integration); ``rhs_t`` the GLS right-hand side in that
+    basis, R' = up.T (D_y.T Z_y + Z_x D_x) uq; ``misfit0`` the squared
+    gradient misfit rho_0^2 of the unregularized (lam = 0) surface.
     """
 
-    svals_x: np.ndarray
-    svals_y: np.ndarray
-    right_x: np.ndarray
-    right_y: np.ndarray
-    grad_x_t: np.ndarray
-    grad_y_t: np.ndarray
+    factors: Factorization
+    rhs_t: np.ndarray
+    misfit0: float
     hx: float = 1.0
     hy: float = 1.0
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grad_x_t.shape
-
-    def _null_pair(self) -> tuple[int | None, int | None]:
-        """Indices of the numerically zero singular values, if any."""
-        i = int(np.argmin(self.svals_y))
-        j = int(np.argmin(self.svals_x))
-        i0 = i if self.svals_y[i] <= _NULL_REL * np.max(self.svals_y) else None
-        j0 = j if self.svals_x[j] <= _NULL_REL * np.max(self.svals_x) else None
-        return i0, j0
-
     def operator_eigenvalues(self) -> np.ndarray:
-        """mu_ij^2 = alpha_j^2 + beta_i^2, the Sylvester operator spectrum."""
-        return self.svals_x[None, :] ** 2 + self.svals_y[:, None] ** 2
+        """d_ij = lambda_i + mu_j, the Sylvester operator spectrum."""
+        return self.factors.pencil
 
 
 def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCache:
-    """Decompose the operators and transform the measured gradient.
+    """Factor the operators and transform the measured gradient.
 
-    Cost is dominated by the two SVDs; everything downstream of the cache is
-    O(mn) per regularization parameter.
+    Cost is dominated by the two symmetric eigendecompositions; everything
+    downstream of the cache is O(mn) per regularization parameter.
     """
     if dx.n != g.n:
         raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
     if dy.n != g.m:
         raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
-    ux, sx, vxt = np.linalg.svd(dx.entries)
-    uy, sy, vyt = np.linalg.svd(dy.entries)
+    factors = Factorization.of(dy.entries.T @ dy.entries, dx.entries.T @ dx.entries)
+    rhs_t = factors.to_basis(dy.entries.T @ g.zy + g.zx @ dx.entries)
+    z0 = factors.from_basis(factors.divide(rhs_t))
     return SpectralCache(
-        svals_x=sx,
-        svals_y=sy,
-        right_x=vxt.T,
-        right_y=vyt.T,
-        grad_x_t=vyt @ g.zx @ ux,
-        grad_y_t=uy.T @ g.zy @ vxt.T,
+        factors=factors,
+        rhs_t=rhs_t,
+        misfit0=gradient_misfit(z0, g, dx, dy),
         hx=g.hx,
         hy=g.hy,
     )
@@ -81,52 +69,30 @@ def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCac
 def tikhonov_coefficients(cache: SpectralCache, lam: float) -> np.ndarray:
     """Transformed solution coefficients for regularization parameter lam.
 
-    Entrywise m_ij = (beta_i p_ij + alpha_j q_ij) / (alpha_j^2 + beta_i^2 +
-    2 lam^2).  The entry where both singular values vanish is the free
-    constant of integration; it is pinned to zero, matching the deflated
-    solver's convention, so the two solution paths agree.
+    Entrywise m_ij = R'_ij / (d_ij + 2 lam^2).  The entry where both
+    eigenvalues vanish is the free constant of integration; it is pinned to
+    zero, matching the deflated solver's convention, so the two solution
+    paths agree.
     """
-    if lam < 0:
-        raise ValueError("regularization parameter must be non-negative")
-    alpha, beta = cache.svals_x, cache.svals_y
-    denom = alpha[None, :] ** 2 + beta[:, None] ** 2 + 2.0 * lam * lam
-    numer = beta[:, None] * cache.grad_y_t + alpha[None, :] * cache.grad_x_t
-    i0, j0 = cache._null_pair()
-    if i0 is not None and j0 is not None:
-        denom = denom.copy()
-        denom[i0, j0] = 1.0
-        coeffs = numer / denom
-        coeffs[i0, j0] = 0.0
-        return coeffs
-    return numer / denom
+    check_parameter("lam", lam)
+    return cache.factors.divide(cache.rhs_t, 2.0 * lam * lam)
 
 
 def filter_factors(cache: SpectralCache, lam: float) -> np.ndarray:
-    """Spectral attenuation factors f_ij = mu_ij^2 / (mu_ij^2 + 2 lam^2).
+    """Spectral attenuation factors f_ij = d_ij / (d_ij + 2 lam^2).
 
     All factors lie in [0, 1]; they are 1 at lam = 0 (plain least squares)
     and fall toward 0 as lam grows.  The doubly-null entry is reported as 0,
     consistent with its coefficient being pinned.
     """
-    if lam < 0:
-        raise ValueError("regularization parameter must be non-negative")
-    mu_sq = cache.operator_eigenvalues()
-    denom = mu_sq + 2.0 * lam * lam
-    i0, j0 = cache._null_pair()
-    if i0 is not None and j0 is not None:
-        denom = denom.copy()
-        denom[i0, j0] = 1.0
-        factors = mu_sq / denom
-        factors[i0, j0] = 0.0
-        return factors
-    return mu_sq / denom
+    check_parameter("lam", lam)
+    return cache.factors.divide(cache.factors.pencil, 2.0 * lam * lam)
 
 
 def reconstruct_from_cache(cache: SpectralCache, lam: float) -> Surface:
     """Surface for the given parameter: a weighted sum of rank-one terms."""
-    coeffs = tikhonov_coefficients(cache, lam)
     return Surface(
-        heights=cache.right_y @ coeffs @ cache.right_x.T,
+        heights=cache.factors.from_basis(tikhonov_coefficients(cache, lam)),
         hx=cache.hx,
         hy=cache.hy,
     )
@@ -135,23 +101,28 @@ def reconstruct_from_cache(cache: SpectralCache, lam: float) -> Surface:
 def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
     """Points (lam, rho, eta) of the residual/penalty trade-off curve.
 
-    rho is the root of the gradient misfit and eta the solution norm, both
-    evaluated in transformed coordinates (the Frobenius norm is invariant
-    under the orthonormal change of basis), so each point costs O(mn).
+    rho is the root of the gradient misfit and eta the solution norm (the
+    Frobenius norm is invariant under the orthonormal change of basis).
+    With s = 2 lam^2 and m_ij the coefficients at lam, the misfit exceeds the
+    GLS misfit by sum s^2 m_ij^2 / d_ij, a sum of non-negative terms, so
+    rho^2 = rho_0^2 + sum s^2 m_ij^2 / d_ij loses nothing to cancellation
+    even where rho is tiny.  Each point costs O(mn).
     """
     lams = [float(v) for v in lam_grid]
     if not lams:
         raise ValueError("the parameter grid must not be empty")
-    if any(v <= 0 for v in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("the parameter grid must be positive and strictly ascending")
-    alpha, beta = cache.svals_x, cache.svals_y
+    if not all(math.isfinite(v) and v > 0 for v in lams) or any(
+        b <= a for a, b in zip(lams, lams[1:])
+    ):
+        raise ValueError(
+            "the parameter grid lam must be finite, positive and strictly ascending"
+        )
     points = []
     for lam in lams:
+        shift = 2.0 * lam * lam
         coeffs = tikhonov_coefficients(cache, lam)
-        rho_sq = (
-            np.linalg.norm(coeffs * alpha[None, :] - cache.grad_x_t) ** 2
-            + np.linalg.norm(beta[:, None] * coeffs - cache.grad_y_t) ** 2
-        )
+        excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
+        rho_sq = cache.misfit0 + excess
         eta_sq = np.linalg.norm(coeffs) ** 2
         points.append((lam, float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))
     return points
@@ -165,7 +136,8 @@ def default_lambda_grid(cache: SpectralCache, count: int = 20) -> np.ndarray:
     """
     if count < 2:
         raise ValueError("grid needs at least two points")
-    scale = float(np.median(np.sqrt(cache.operator_eigenvalues())))
+    # eigh can return the null eigenvalue pair slightly below zero
+    scale = float(np.median(np.sqrt(np.maximum(cache.operator_eigenvalues(), 0.0))))
     return np.geomspace(1e-4 * scale, 1e1 * scale, count)
 
 

@@ -6,12 +6,14 @@ the form
     A.T A Phi + Phi B.T B - A.T F - G B = 0,
 
 a Sylvester equation with symmetric positive semi-definite coefficients.
-When A and B each annihilate a known vector (u and v), the operator has the
-rank-one null space u v.T; :func:`solve_deflated` diagonalizes A.T A and
-B.T B, where that null space becomes the single zero eigenvalue pair, leaves
-its coefficient at zero, and then projects u v.T out of the solution
-exactly.  This pins the free constant of integration to zero, so the
-returned solution satisfies u.T Phi v = 0 (mean free in the unweighted case).
+Every solve goes through one :class:`Factorization`, the symmetric
+eigendecompositions of A.T A and B.T B, in whose basis the equation is an
+elementwise division.  When A and B each annihilate a known vector (u and
+v), the operator has the rank-one null space u v.T; in that basis it is the
+single zero eigenvalue pair, whose coefficient :func:`solve_deflated` leaves
+at zero before projecting u v.T out of the solution exactly.  This pins the
+free constant of integration to zero, so the returned solution satisfies
+u.T Phi v = 0 (mean free in the unweighted case).
 
 The paper removes the null space by Householder deflation before solving,
 because the Bartels-Stewart algorithm cannot take a singular pencil.  The
@@ -32,56 +34,6 @@ from .errors import DimensionError, SingularSystemError
 _SYM_TOL = 1e-10
 _PENCIL_TOL = 1e-12
 _NULL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Reflector:
-    """Implicit Householder reflection P = I - beta * w w.T.
-
-    Only the vector is stored; the reflection is applied as a rank-one
-    update, never materialized (forming P explicitly raises the cost of
-    every application by an order of magnitude).
-    """
-
-    w: np.ndarray
-    beta: float
-
-    def matrix(self) -> np.ndarray:
-        """Dense P, for small-scale verification only."""
-        k = self.w.shape[0]
-        return np.eye(k) - self.beta * np.outer(self.w, self.w)
-
-    def apply_left(self, mat: np.ndarray) -> np.ndarray:
-        """P @ mat."""
-        return mat - np.outer(self.w, self.beta * (self.w @ mat))
-
-    def apply_right(self, mat: np.ndarray) -> np.ndarray:
-        """mat @ P."""
-        return mat - np.outer(mat @ self.w, self.beta * self.w)
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        return vec - self.w * (self.beta * (self.w @ vec))
-
-
-def householder_vector(u: np.ndarray) -> Reflector:
-    """Reflector sending u to -[norm(u), 0, ..., 0].
-
-    Stores w = u + norm(u) * e1.  The construction degenerates only when u is
-    numerically antiparallel to the first coordinate axis, which cannot occur
-    for the null vectors arising here (all-ones, a leading unit vector, or an
-    SPD weighting of the all-ones vector whose leading entry stays bounded
-    away from -norm(u)).
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        raise ValueError("cannot build a reflector from the zero vector")
-    w = u.copy()
-    w[0] += norm
-    wsq = w @ w
-    if wsq <= 1e-24 * norm * norm:
-        raise ValueError("null vector is numerically antiparallel to the first axis")
-    return Reflector(w=w, beta=2.0 / wsq)
 
 
 def _require_symmetric(name: str, mat: np.ndarray) -> np.ndarray:
@@ -112,14 +64,74 @@ def sym_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """Symmetric eigendecompositions of the Sylvester coefficients P and Q.
+
+    P = up diag(lp) up.T and Q = uq diag(lq) uq.T, eigenvalues ascending.
+    In this basis P X + X Q = C is the elementwise division
+    X'_ij = C'_ij / (lp_i + lq_j), and a degree-0 Tikhonov penalty on both
+    sides only shifts every divisor by the same amount, so one factorization
+    serves any number of right-hand sides and penalty parameters.
+
+    The pencil is singular when its smallest eigenvalue pair lp_0 + lq_0 lies
+    within a relative tolerance of zero; that pair is then pinned: its
+    coefficient is set to zero instead of divided by.
+    """
+
+    lp: np.ndarray
+    up: np.ndarray
+    lq: np.ndarray
+    uq: np.ndarray
+
+    @classmethod
+    def of(cls, p: np.ndarray, q: np.ndarray) -> Factorization:
+        """Factor symmetric P and Q (only their lower triangles are read)."""
+        lp, up = np.linalg.eigh(p)
+        lq, uq = np.linalg.eigh(q)
+        return cls(lp=lp, up=up, lq=lq, uq=uq)
+
+    @property
+    def tol(self) -> float:
+        """Pencil eigenvalues at or below this are numerically zero."""
+        return _PENCIL_TOL * (
+            np.max(np.abs(self.lp), initial=0.0) + np.max(np.abs(self.lq), initial=0.0)
+        )
+
+    @property
+    def pinned(self) -> bool:
+        """Whether the smallest eigenvalue pair is numerically zero."""
+        return bool(self.lp[0] + self.lq[0] <= self.tol)
+
+    @property
+    def pencil(self) -> np.ndarray:
+        """The eigenvalues lp_i + lq_j of the Sylvester operator."""
+        return self.lp[:, None] + self.lq[None, :]
+
+    def to_basis(self, c: np.ndarray) -> np.ndarray:
+        """up.T C uq."""
+        return self.up.T @ c @ self.uq
+
+    def from_basis(self, x: np.ndarray) -> np.ndarray:
+        """up X uq.T."""
+        return self.up @ x @ self.uq.T
+
+    def divide(self, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """C'_ij / (lp_i + lq_j + shift), with the pinned entry set to zero."""
+        denom = self.lp[:, None] + (self.lq + shift)[None, :]
+        if self.pinned:
+            denom[0, 0] = np.inf  # the pinned constant of integration
+        return np.divide(c, denom, out=denom)
+
+
 def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve P X + X Q = C for symmetric PSD P, Q with a nonsingular pencil.
 
     Both coefficient matrices are diagonalized by symmetric eigendecomposition
-    and the transformed system is solved elementwise as
-    X'_ij = C'_ij / (lambda_i + mu_j); this costs the same order of work as
-    the Hessenberg-Schur route but the symmetric eigenbasis is reused by the
-    regularization analysis elsewhere in the package.
+    (:class:`Factorization`) and the transformed system is solved
+    elementwise as X'_ij = C'_ij / (lambda_i + mu_j); this costs the same
+    order of work as the Hessenberg-Schur route, and the same factorization
+    serves the regularization sweep of :mod:`surfrec.regparam`.
     """
     p = _require_symmetric("P", p)
     q = _require_symmetric("Q", q)
@@ -128,15 +140,12 @@ def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"right-hand side must be {p.shape[0]}x{q.shape[0]}, got {c.shape}"
         )
-    lp, up = np.linalg.eigh(p)
-    lq, uq = np.linalg.eigh(q)
-    tol = _PENCIL_TOL * (np.max(np.abs(lp), initial=0.0) + np.max(np.abs(lq), initial=0.0))
-    if lp[0] + lq[0] <= tol:
+    fac = Factorization.of(p, q)
+    if fac.pinned:
         raise SingularSystemError(
-            f"singular pencil: smallest eigenvalue pair sums to {lp[0] + lq[0]:.3e}"
+            f"singular pencil: smallest eigenvalue pair sums to {fac.lp[0] + fac.lq[0]:.3e}"
         )
-    ct = up.T @ c @ uq
-    return up @ (ct / (lp[:, None] + lq[None, :])) @ uq.T
+    return fac.from_basis(fac.divide(fac.to_basis(c)))
 
 
 @dataclass(frozen=True)
@@ -212,9 +221,10 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
     A.T A and B.T B are diagonalized by symmetric eigendecomposition.  In
     that basis the operator's null space u v.T is the single eigenvalue pair
     lambda_0 + mu_0 = 0; every other coefficient is divided by
-    lambda_i + mu_j, and the pinned one is left at zero.  The null direction
-    is then projected out of the back-transformed solution exactly, so the
-    result is the unique minimizer with u.T Phi v = 0.
+    lambda_i + mu_j, and the pinned one is left at zero (see
+    :class:`Factorization`).  The null direction is then projected out of
+    the back-transformed solution exactly, so the result is the unique
+    minimizer with u.T Phi v = 0.
 
     The paper deflates the null space with Householder reflections first,
     as Bartels-Stewart needs a nonsingular pencil; the eigen route does not,
@@ -226,24 +236,19 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
     if system.u is None or system.v is None:
         raise ValueError("deflated solve requires both null vectors; use solve_full_rank instead")
     a, b, u, v = system.a, system.b, system.u, system.v
-    lp, up = np.linalg.eigh(a.T @ a)
-    lq, uq = np.linalg.eigh(b.T @ b)
-    tol = _PENCIL_TOL * (np.max(np.abs(lp)) + np.max(np.abs(lq)))
+    fac = Factorization.of(a.T @ a, b.T @ b)
+    lp, lq = fac.lp, fac.lq
     second = np.inf  # a side with a single unknown contributes no candidate
     if lp.size > 1:
         second = lp[1] + lq[0]
     if lq.size > 1:
         second = min(second, lp[0] + lq[1])
-    if second <= tol:
+    if second <= fac.tol:
         raise SingularSystemError(
             f"singular pencil: second-smallest eigenvalue pair sums to {second:.3e}; "
             "the operator's null space is larger than one"
         )
-    denom = lp[:, None] + lq[None, :]
-    denom[0, 0] = np.inf  # the pinned constant of integration
-    coeff = up.T @ system.rhs() @ uq
-    coeff /= denom
-    phi = up @ coeff @ uq.T
+    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs())))
     phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
     return phi
 

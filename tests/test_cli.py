@@ -1,6 +1,7 @@
 import re
 
 import numpy as np
+import pytest
 
 from surfrec import apply_dx, apply_dy, diff_matrix, read_grid, write_grid
 from surfrec.cli import main, run_bench
@@ -181,3 +182,15 @@ class TestFailureClasses:
         out = tmp_path / "z.g2s"
         assert main(["tikhonov", zx, zy, "--lambda", "-2", "--out", str(out)]) == 1
         assert "invalid argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,name", [("--lambda", "lam"), ("--mu", "mu")])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_parameter(self, tmp_path, capsys, flag, name, bad):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=87)
+        out = tmp_path / "z.g2s"
+        args = ["tikhonov", zx, zy, "--lambda", "1", "--out", str(out)]
+        args += [flag, bad]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "invalid argument" in err and f"parameter {name} " in err
+        assert not out.exists()

@@ -78,6 +78,13 @@ class TestAssemble:
         with pytest.raises(ValueError):
             Tikhonov(lam=1.0, degree=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tikhonov_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="parameter lam "):
+            Tikhonov(lam=bad)
+        with pytest.raises(ValueError, match="parameter mu "):
+            Tikhonov(lam=1.0, mu=bad)
+
 
 class TestReconstruct:
     def test_plane_is_exact_and_mean_free(self):

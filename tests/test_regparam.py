@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    Gls, GradientField, SpectralCache, Surface, Tikhonov, build_cache,
-    bump_surface, corner, default_bump_spec, default_lambda_grid, evaluate,
-    filter_factors, gradient_misfit, l_curve, reconstruct,
+    Factorization, Gls, GradientField, SpectralCache, Surface, Tikhonov,
+    build_cache, bump_surface, corner, default_bump_spec, default_lambda_grid,
+    evaluate, filter_factors, gradient_misfit, l_curve, reconstruct,
     reconstruct_from_cache, tikhonov_coefficients,
 )
 from surfrec.simulate import NoiseSpec, add_noise, trial_seed
@@ -18,33 +18,55 @@ def noisy_problem(m=16, n=20, seed=41, level=0.2, order=2):
 
 
 def tiny_cache(alpha, beta, p, q):
-    """Hand-built cache for exercising the entrywise formulas directly."""
+    """Hand-built cache for exercising the entrywise formulas directly.
+
+    alpha and beta stand for the singular values of the x and y operators:
+    the eigenvalues are beta_i^2 and alpha_j^2, and the transformed
+    right-hand side is beta_i p_ij + alpha_j q_ij.
+    """
     alpha = np.atleast_1d(np.asarray(alpha, float))
     beta = np.atleast_1d(np.asarray(beta, float))
-    return SpectralCache(
-        svals_x=alpha, svals_y=beta,
-        right_x=np.eye(alpha.size), right_y=np.eye(beta.size),
-        grad_x_t=np.atleast_2d(np.asarray(q, float)),
-        grad_y_t=np.atleast_2d(np.asarray(p, float)),
-    )
+    factors = Factorization(lp=beta**2, up=np.eye(beta.size),
+                            lq=alpha**2, uq=np.eye(alpha.size))
+    rhs_t = (beta[:, None] * np.atleast_2d(np.asarray(p, float))
+             + alpha[None, :] * np.atleast_2d(np.asarray(q, float)))
+    return SpectralCache(factors=factors, rhs_t=rhs_t, misfit0=0.0)
+
+
+def kron_tikhonov_minnorm(g, dx, dy, lam):
+    """Oracle: minimum-norm least squares of the stacked degree-0 Tikhonov
+    system, eliminated as one dense Kronecker-structured matrix."""
+    m, n = g.m, g.n
+    coeff = np.vstack([
+        np.kron(np.eye(n), dy.entries),
+        np.kron(dx.entries, np.eye(m)),
+        lam * np.eye(m * n),
+        lam * np.eye(m * n),
+    ])
+    rhs = np.concatenate([g.zy.ravel(order="F"), g.zx.ravel(order="F"), np.zeros(2 * m * n)])
+    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
+    return sol.reshape((m, n), order="F")
 
 
 class TestBuildCache:
     def test_exactly_one_zero_singular_value_per_operator(self):
         _, g, dx, dy = noisy_problem()
         cache = build_cache(g, dx, dy)
-        for svals in (cache.svals_x, cache.svals_y):
-            assert np.all(svals >= 0) and np.all(np.diff(svals) <= 0)
-            assert np.count_nonzero(svals <= 1e-10 * svals.max()) == 1
-        for vecs in (cache.right_x, cache.right_y):
+        fac = cache.factors
+        for evals, vecs in ((fac.lp, fac.up), (fac.lq, fac.uq)):
+            # eigenvalues of D.T D are the squared singular values of D
+            assert np.all(np.diff(evals) >= 0)
+            assert evals[0] >= -1e-12 * evals[-1]
+            assert np.count_nonzero(evals <= 1e-12 * evals[-1]) == 1
             k = vecs.shape[0]
             assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-10
+        assert fac.pinned
 
     def test_zero_gradient_transforms_to_zero(self):
         g = GradientField(np.zeros((8, 8)), np.zeros((8, 8)))
         cache = build_cache(g, *g.operators(2))
-        assert np.max(np.abs(cache.grad_x_t)) == 0.0
-        assert np.max(np.abs(cache.grad_y_t)) == 0.0
+        assert np.max(np.abs(cache.rhs_t)) == 0.0
+        assert cache.misfit0 == 0.0
 
     def test_zero_parameter_reproduces_gls(self):
         _, g, dx, dy = noisy_problem(seed=42)
@@ -75,6 +97,15 @@ class TestCoefficients:
         cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             tikhonov_coefficients(cache, -0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameter(self, bad):
+        cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
+        for call in (tikhonov_coefficients, filter_factors, reconstruct_from_cache):
+            with pytest.raises(ValueError, match="lam"):
+                call(cache, bad)
+        with pytest.raises(ValueError, match="lam"):
+            l_curve(cache, [0.5, bad])
 
 
 class TestFilterFactors:
@@ -189,6 +220,33 @@ class TestCorner:
 
 
 class TestPathEquivalence:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_cache_path_matches_dense_oracle(self, order, lam):
+        rng = np.random.default_rng(52 + order)
+        for m, n in ((3, 4), (5, 7), (8, 6), (11, 12), (12, 12)):
+            if min(m, n) < order + 1:
+                continue
+            for hx, hy in ((0.7, 1.3), (1.3, 0.7)):
+                g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)), hx, hy)
+                dx, dy = g.operators(order)
+                cache = build_cache(g, dx, dy)
+                got = reconstruct_from_cache(cache, lam).heights
+                # D 1 = 0, so the exact solution is mean free at every lam;
+                # the oracle's mean is its rounding divided by 2 lam^2 and
+                # is left out of the comparison
+                want = kron_tikhonov_minnorm(g, dx, dy, lam)
+                want -= want.mean()
+                scale = np.linalg.norm(want)
+                assert abs(got.mean()) <= 1e-13 * scale
+                err = np.linalg.norm(got - want) / scale
+                assert err <= 1e-10, (m, n, hx, hy, err)
+                if lam > 0:
+                    (_, rho, eta), = l_curve(cache, [lam])
+                    rho_want = np.sqrt(gradient_misfit(want, g, dx, dy))
+                    assert rho == pytest.approx(rho_want, rel=1e-10)
+                    assert eta == pytest.approx(scale, rel=1e-10)
+
     @pytest.mark.parametrize("lam", [1e-3, 1e-1, 1.0, 10.0])
     def test_cache_path_matches_stacked_path(self, lam):
         # unit node spacing keeps the stacked route's normal-equation

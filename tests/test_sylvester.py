@@ -3,8 +3,7 @@ import pytest
 
 from surfrec import (
     DimensionError, GradientField, SingularSystemError, SylvesterSystem,
-    diff_matrix, householder_vector, solve_deflated, solve_full_rank,
-    sym_sqrt, work_estimate,
+    diff_matrix, solve_deflated, solve_full_rank, sym_sqrt, work_estimate,
 )
 
 
@@ -56,40 +55,6 @@ class TestSolveFullRank:
         p = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             solve_full_rank(p, np.eye(2), np.ones((2, 2)))
-
-
-class TestHouseholder:
-    def test_first_axis_flips(self):
-        refl = householder_vector(np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(refl.apply_vec(np.array([1.0, 0.0, 0.0])), [-1, 0, 0], atol=1e-14)
-
-    def test_ones_vector(self):
-        refl = householder_vector(np.ones(4))
-        assert np.allclose(refl.apply_vec(np.ones(4)), [-2, 0, 0, 0], atol=1e-14)
-
-    @pytest.mark.parametrize("k,seed", [(5, 0), (17, 1), (32, 2)])
-    def test_random_vectors(self, k, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(k)
-        u[0] = abs(u[0])  # the stored form assumes no cancellation on entry one
-        refl = householder_vector(u)
-        e1 = np.zeros(k)
-        e1[0] = 1.0
-        assert np.linalg.norm(refl.apply_vec(u) + np.linalg.norm(u) * e1) <= 1e-12 * np.linalg.norm(u)
-        mat = refl.matrix()
-        assert np.max(np.abs(mat.T @ mat - np.eye(k))) <= 1e-12
-
-    def test_left_right_application_match_dense(self):
-        rng = np.random.default_rng(3)
-        u = np.abs(rng.standard_normal(6)) + 0.1
-        refl = householder_vector(u)
-        m = rng.standard_normal((6, 4))
-        assert np.allclose(refl.apply_left(m), refl.matrix() @ m, atol=1e-12)
-        assert np.allclose(refl.apply_right(m.T), m.T @ refl.matrix(), atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            householder_vector(np.zeros(3))
 
 
 class TestSymSqrt:
