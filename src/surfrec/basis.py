@@ -59,6 +59,8 @@ class BasisSet:
     def drop(self, cols) -> "BasisSet":
         """New BasisSet with the given column positions removed."""
         drop = set(cols)
+        if any(c < 0 or c >= self.p for c in drop):
+            raise ValueError(f"column index out of range 0..{self.p - 1}")
         keep = [c for c in range(self.p) if c not in drop]
         return self.subset(keep)
 

@@ -158,6 +158,8 @@ def _cmd_simulate(args) -> int:
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
     levels = _parse_float_list(args.levels)
+    if not levels:
+        raise ValueError("--levels needs at least one noise level")
     noise = simulate.NoiseSpec(_NOISE_FLAGS[args.noise], max(levels), args.seed)
     result = simulate.monte_carlo(
         methods, noise, levels, args.trials, args.seed,
@@ -201,6 +203,8 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
     Direct solvers run in data-independent time, so random input is as good
     as any.  Each cell reports the mean of `repeats` runs after a warm-up.
     """
+    if repeats < 1:
+        raise ValueError(f"bench needs at least one repeat, got {repeats}")
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:

@@ -143,7 +143,8 @@ def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> floa
     return float(np.linalg.norm(zxr) ** 2 + np.linalg.norm(zyr) ** 2)
 
 
-def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix):
+def check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
+    """Refuse operators whose node counts do not match the gradient grid."""
     if dx.n != g.n:
         raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
     if dy.n != g.m:
@@ -253,7 +254,7 @@ def _build_weighted(g, dx, dy, spec: Weighted):
 
 
 def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
-    _check_operators(g, dx, dy)
+    check_operators(g, dx, dy)
     if isinstance(spec, Gls):
         return _build_gls(g, dx, dy)
     if isinstance(spec, Spectral):

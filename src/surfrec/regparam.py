@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import DiffMatrix, GradientField, Surface
-from .errors import DimensionError
-from .methods import check_parameter, gradient_misfit
+from .methods import check_operators, check_parameter, gradient_misfit
 from .sylvester import Factorization
 
 
@@ -50,10 +49,7 @@ def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCac
     Cost is dominated by the two symmetric eigendecompositions; everything
     downstream of the cache is O(mn) per regularization parameter.
     """
-    if dx.n != g.n:
-        raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
-    if dy.n != g.m:
-        raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
+    check_operators(g, dx, dy)
     factors = Factorization.of(dy.entries.T @ dy.entries, dx.entries.T @ dx.entries)
     rhs_t = factors.to_basis(dy.entries.T @ g.zy + g.zx @ dx.entries)
     z0 = factors.from_basis(factors.divide(rhs_t))

@@ -6,6 +6,12 @@ samples.  Three noise models corrupt the gradient: i.i.d. Gaussian,
 heteroscedastic Gaussian with radially growing amplitude, and gross outliers
 that saturate random pixels at the component maximum.
 
+Each reconstruction is scored by its gradient misfit, its mean-aligned
+error against the truth, and the Kolmogorov-Smirnov distance of its
+standardized gradient residuals to the standard normal.  The KS distance is
+computed directly from the sorted residuals; no p-value is computed, so
+numpy is the only dependency.
+
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every table is reproducible bit for bit from its base seed.
 """
@@ -14,14 +20,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from . import regparam
-from .diffops import DiffMatrix, GradientField, Surface
+from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError, SizeGuardError
 from .methods import CovarianceSet, MethodSpec, gradient_misfit, reconstruct
 
@@ -235,13 +241,31 @@ class TrialMetrics:
     ks_statistic: float
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ks_distance(sample: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance between a sample and N(0, 1).
+
+    sup |F_n - Phi| is attained at a sample point, just before or at its
+    step: max over the sorted x_(i) of i/n - Phi(x_(i)) and
+    Phi(x_(i)) - (i-1)/n.  Phi(x) = erfc(-x/sqrt 2)/2 keeps the lower tail
+    accurate.
+    """
+    x = np.sort(np.ravel(sample))
+    n = x.size
+    cdf = 0.5 * _erfc(x * -math.sqrt(0.5)).astype(float)
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+
 def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
              dx: DiffMatrix, dy: DiffMatrix) -> TrialMetrics:
     """Cost residual, mean-aligned relative error, and residual normality.
 
     The KS statistic is the distance between the empirical distribution of
     the standardized gradient residuals (both components pooled) and the
-    standard normal.
+    standard normal.  It is computed directly from the sorted sample; no
+    p-value is computed.
     """
     if z.heights.shape != z_true.heights.shape or z.heights.shape != (g_meas.m, g_meas.n):
         raise DimensionError("surface, truth, and gradient dimensions must agree")
@@ -251,14 +275,11 @@ def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
     denom = np.linalg.norm(ta)
     rel = float(np.linalg.norm(za - ta) / (denom if denom > 0 else 1.0))
     res = np.concatenate([
-        (z.heights @ dx.entries.T - g_meas.zx).ravel(),
-        (dy.entries @ z.heights - g_meas.zy).ravel(),
+        (apply_dx(z, dx) - g_meas.zx).ravel(),
+        (apply_dy(z, dy) - g_meas.zy).ravel(),
     ])
     sd = res.std()
-    if sd > 0:
-        ks = float(scipy.stats.kstest((res - res.mean()) / sd, "norm").statistic)
-    else:
-        ks = 0.0
+    ks = _ks_distance((res - res.mean()) / sd) if sd > 0 else 0.0
     return TrialMetrics(cost_residual=float(cost), rel_error=rel, ks_statistic=ks)
 
 

@@ -127,6 +127,10 @@ def test_subset_validation():
         b.subset([])
     with pytest.raises(ValueError):
         b.subset([4])
+    with pytest.raises(ValueError):
+        b.drop([-1])
+    with pytest.raises(ValueError):
+        b.drop([4])
 
 
 def test_make_basis_dispatch():

@@ -194,3 +194,21 @@ class TestFailureClasses:
         err = capsys.readouterr().err
         assert "invalid argument" in err and f"parameter {name} " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["bench", "--sizes", "16", "--repeats", "0"], "repeat"),
+        (["simulate", "--rows", "16", "--cols", "16", "--levels", ""], "noise level"),
+    ])
+    def test_empty_run_request(self, tmp_path, capsys, args, message):
+        out = tmp_path / "table.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid argument" in err and message in err
+        assert not out.exists()
+
+    def test_negative_drop_column(self, tmp_path, capsys):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=88)
+        out = tmp_path / "z.g2s"
+        assert main(["spectral", zx, zy, "--drop-cols=-1", "--out", str(out)]) == 1
+        assert "invalid argument" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    Factorization, Gls, GradientField, SpectralCache, Surface, Tikhonov,
+    DimensionError, Factorization, Gls, GradientField, SpectralCache, Surface, Tikhonov,
     build_cache, bump_surface, corner, default_bump_spec, default_lambda_grid,
     evaluate, filter_factors, gradient_misfit, l_curve, reconstruct,
     reconstruct_from_cache, tikhonov_coefficients,
@@ -67,6 +67,13 @@ class TestBuildCache:
         cache = build_cache(g, *g.operators(2))
         assert np.max(np.abs(cache.rhs_t)) == 0.0
         assert cache.misfit0 == 0.0
+
+    def test_operator_grid_mismatch(self):
+        _, g, dx, dy = noisy_problem()
+        with pytest.raises(DimensionError, match="x operator"):
+            build_cache(g, dy, dy)
+        with pytest.raises(DimensionError, match="y operator"):
+            build_cache(g, dx, dx)
 
     def test_zero_parameter_reproduces_gls(self):
         _, g, dx, dy = noisy_problem(seed=42)

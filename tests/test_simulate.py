@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from surfrec import (
     BumpSurfaceSpec, DimensionError, Dirichlet, GaussianBump, Gls,
@@ -8,7 +9,7 @@ from surfrec import (
     default_bump_spec, evaluate, monte_carlo, oracle_gls,
     radial_covariance_set, reconstruct,
 )
-from surfrec.simulate import trial_seed
+from surfrec.simulate import _ks_distance, trial_seed
 
 
 class TestBumpSurface:
@@ -148,6 +149,21 @@ class TestEvaluate:
         g = GradientField(np.zeros((5, 5)), np.zeros((5, 5)))
         with pytest.raises(DimensionError):
             evaluate(z, z, g, *g.operators(2))
+
+
+class TestKsDistance:
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 8192])
+    @pytest.mark.parametrize("kind", ["normal", "heavy_tailed", "tied"])
+    def test_matches_scipy_statistic(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "normal":
+            x = rng.standard_normal(n)
+        elif kind == "heavy_tailed":
+            x = rng.standard_t(2, n)
+        else:
+            x = np.round(rng.standard_normal(n), 1)
+        ref = scipy.stats.kstest(x, "norm").statistic
+        assert abs(_ks_distance(x) - ref) <= 1e-15
 
 
 class TestRadialCovariance:
