@@ -205,6 +205,9 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
     """
     if repeats < 1:
         raise ValueError(f"bench needs at least one repeat, got {repeats}")
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("bench needs at least one grid size")
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:

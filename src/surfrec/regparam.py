@@ -141,10 +141,14 @@ def corner(points) -> float:
     """Parameter at the corner of an L-curve, by discrete curvature.
 
     Takes the (lam, rho, eta) triples of :func:`l_curve` and returns the grid
-    parameter whose log-log point has the largest three-point Menger
-    curvature, ties broken toward smaller parameters.  A degenerate curve
-    with no curvature anywhere (a straight line in log-log) yields the
-    smallest parameter.
+    parameter whose log-log point has the largest positive signed three-point
+    Menger curvature, ties broken toward smaller parameters.  Positive means
+    the curve turns counter-clockwise as lam grows, from its steep
+    under-smoothed arm toward its flat over-smoothed one: the corner of an L
+    (Hansen & O'Leary, SIAM J. Sci. Comput. 14, 1993).  A concave bend is no
+    corner.  A curve with no positive curvature anywhere (a straight line in
+    log-log, or one that only bends the other way) yields the smallest
+    parameter.
     """
     pts = list(points)
     if len(pts) < 5:
@@ -157,12 +161,12 @@ def corner(points) -> float:
         ax, ay = x[i] - x[i - 1], y[i] - y[i - 1]
         bx, by = x[i + 1] - x[i], y[i + 1] - y[i]
         cx, cy = x[i + 1] - x[i - 1], y[i + 1] - y[i - 1]
-        area2 = abs(ax * by - ay * bx)
+        area2 = ax * by - ay * bx
         sides = np.hypot(ax, ay) * np.hypot(bx, by) * np.hypot(cx, cy)
         if sides > 0:
             curv[i] = 2.0 * area2 / sides
-    # a curve without curvature at the scale of its own diameter is a
-    # straight line up to rounding; fall back to the least damping
+    # a curve without positive curvature at the scale of its own diameter
+    # has no corner, up to rounding; fall back to the least damping
     diameter = np.hypot(x.max() - x.min(), y.max() - y.min())
     if np.max(curv) * max(diameter, 1e-300) <= 1e-8:
         return float(lams[0])

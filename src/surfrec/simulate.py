@@ -9,8 +9,10 @@ that saturate random pixels at the component maximum.
 Each reconstruction is scored by its gradient misfit, its mean-aligned
 error against the truth, and the Kolmogorov-Smirnov distance of its
 standardized gradient residuals to the standard normal.  The KS distance is
-computed directly from the sorted residuals; no p-value is computed, so
-numpy is the only dependency.
+computed directly from the sorted residuals, with the normal CDF evaluated
+only where a monotonicity bound says the maximum can lie (a few percent of
+the points), yet bit for bit equal to evaluating it everywhere; no p-value
+is computed, so numpy is the only dependency.
 
 All randomness flows through numpy's PCG64 generator seeded from explicit
 integers, so every table is reproducible bit for bit from its base seed.
@@ -242,20 +244,44 @@ class TrialMetrics:
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+_KNOT_STRIDE = 64
+# covers any ulp-level non-monotonicity of libm's erfc in the block bound
+_BOUND_SLACK = 1e-12
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = erfc(-x/sqrt 2)/2, which keeps the lower tail accurate."""
+    return 0.5 * _erfc(x * -math.sqrt(0.5)).astype(float)
 
 
 def _ks_distance(sample: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov distance between a sample and N(0, 1).
 
     sup |F_n - Phi| is attained at a sample point, just before or at its
-    step: max over the sorted x_(i) of i/n - Phi(x_(i)) and
-    Phi(x_(i)) - (i-1)/n.  Phi(x) = erfc(-x/sqrt 2)/2 keeps the lower tail
-    accurate.
+    step: with 0-based i over the sorted x_i, the max of (i+1)/n - Phi_i and
+    Phi_i - i/n.  Phi is evaluated exactly at knots, every
+    ``_KNOT_STRIDE``-th index and the last one.  Phi is monotone, so for i
+    strictly between knots a and b, (i+1)/n - Phi_i <= b/n - Phi_a and
+    Phi_i - i/n <= Phi_b - (a+1)/n; Phi is evaluated inside a block only
+    when that bound, plus ``_BOUND_SLACK``, reaches the maximum over the
+    knots.  Every candidate is computed with the same arithmetic as the
+    plain O(n) formula, a pruned point cannot exceed the maximum, and max is
+    exact, so the result equals that formula bit for bit.
     """
     x = np.sort(np.ravel(sample))
     n = x.size
-    cdf = 0.5 * _erfc(x * -math.sqrt(0.5)).astype(float)
-    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+    knots = np.append(np.arange(0, n - 1, _KNOT_STRIDE), n - 1)
+    phi = _phi(x[knots])
+    d = max(np.max((knots + 1) / n - phi), np.max(phi - knots / n))
+    a, b = knots[:-1], knots[1:]
+    bound = np.maximum(b / n - phi[:-1], phi[1:] - (a + 1) / n) + _BOUND_SLACK
+    inside = np.repeat(bound >= d, b - a)
+    inside[a] = False
+    i = np.flatnonzero(inside)
+    if i.size:
+        phi = _phi(x[i])
+        d = max(d, np.max((i + 1) / n - phi), np.max(phi - i / n))
+    return float(d)
 
 
 def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,

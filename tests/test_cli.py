@@ -198,6 +198,7 @@ class TestFailureClasses:
     @pytest.mark.parametrize("args,message", [
         (["bench", "--sizes", "16", "--repeats", "0"], "repeat"),
         (["simulate", "--rows", "16", "--cols", "16", "--levels", ""], "noise level"),
+        (["bench", "--sizes", ","], "grid size"),
     ])
     def test_empty_run_request(self, tmp_path, capsys, args, message):
         out = tmp_path / "table.csv"

@@ -33,6 +33,15 @@ def tiny_cache(alpha, beta, p, q):
     return SpectralCache(factors=factors, rhs_t=rhs_t, misfit0=0.0)
 
 
+def gcv_pick(cache, points):
+    """Oracle: the grid parameter of least generalized cross-validation,
+    rho^2 / (2mn - sum f_ij)^2 (Golub, Heath & Wahba, Technometrics 21, 1979)."""
+    size = 2 * cache.rhs_t.size
+    scores = [rho**2 / (size - np.sum(filter_factors(cache, lam))) ** 2
+              for lam, rho, _ in points]
+    return points[int(np.argmin(scores))][0]
+
+
 def kron_tikhonov_minnorm(g, dx, dy, lam):
     """Oracle: minimum-norm least squares of the stacked degree-0 Tikhonov
     system, eliminated as one dense Kronecker-structured matrix."""
@@ -196,6 +205,29 @@ class TestCorner:
         points = [(10.0 ** (-3 + 0.3 * i), 10.0 ** (0.2 * i), 10.0 ** (-0.3 * i))
                   for i in range(12)]
         assert corner(points) == points[0][0]
+
+    def test_concave_bend_is_no_corner(self):
+        # the knee turns clockwise: flat arm first, steep arm second
+        points = []
+        for i in range(8):
+            points.append((10.0 ** (i - 10), 10.0 ** (1 + i), 10.0 ** 8))
+        for i in range(8):
+            points.append((10.0 ** (i - 2), 10.0 ** 9, 10.0 ** (7 - i)))
+        assert corner(points) == points[0][0]
+
+    @pytest.mark.parametrize("order,level", [(2, 0.0), (4, 0.0), (4, 0.05)])
+    def test_pick_matches_gcv_oracle(self, order, level):
+        # noise-free gradients give an L-curve without a noise-driven knee;
+        # its concave bends are no corner and must not be picked
+        z_true, g = bump_surface(default_bump_spec(150, 150))
+        g = add_noise(g, NoiseSpec("iid", level, 3))
+        dx, dy = g.operators(order)
+        cache = build_cache(g, dx, dy)
+        points = l_curve(cache, default_lambda_grid(cache))
+
+        def err(lam):
+            return evaluate(reconstruct_from_cache(cache, lam), z_true, g, dx, dy).rel_error
+        assert err(corner(points)) <= 1.05 * err(gcv_pick(cache, points))
 
     def test_needs_five_points(self):
         with pytest.raises(ValueError):

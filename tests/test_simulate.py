@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,7 +11,8 @@ from surfrec import (
     default_bump_spec, evaluate, monte_carlo, oracle_gls,
     radial_covariance_set, reconstruct,
 )
-from surfrec.simulate import _ks_distance, trial_seed
+from surfrec import simulate
+from surfrec.simulate import _KNOT_STRIDE, _ks_distance, trial_seed
 
 
 class TestBumpSurface:
@@ -164,6 +167,131 @@ class TestKsDistance:
             x = np.round(rng.standard_normal(n), 1)
         ref = scipy.stats.kstest(x, "norm").statistic
         assert abs(_ks_distance(x) - ref) <= 1e-15
+
+    @pytest.mark.parametrize("kind", [
+        "normal", "stride_edges", "ties_across_knots", "constant", "tails", "interior_max",
+    ])
+    def test_bitwise_equal_to_direct_evaluation(self, kind):
+        for x in _ks_samples(kind):
+            assert _ks_distance(x) == _direct_ks(x), (kind, x.size)
+
+    def test_interior_max_case_peaks_between_knots(self):
+        for x in _ks_samples("interior_max"):
+            peak = int(np.argmax(_direct_gaps(x)))
+            assert peak % _KNOT_STRIDE != 0 and peak != x.size - 1
+
+    @pytest.mark.parametrize("value", [-1.0, 1.0])
+    def test_constant_sample_is_scored_from_its_knots(self, monkeypatch, value):
+        # every block bound falls 1/n short of the maximum, which a knot
+        # attains, so Phi is evaluated at the knots alone
+        n = 3 * _KNOT_STRIDE + 5
+        calls = []
+        monkeypatch.setattr(simulate, "_erfc", _counting(calls, math.erfc))
+        assert _ks_distance(np.full(n, value)) == _direct_ks(np.full(n, value))
+        assert sum(calls) == len(range(0, n - 1, _KNOT_STRIDE)) + 1
+
+    def test_slack_covers_non_monotone_erfc(self, monkeypatch):
+        # a Phi that dips by 5e-13 inside the first block: the largest gap
+        # sits at that block's last interior point, one knot sits 2.5e-13
+        # below it, and only the slack keeps the block from being pruned
+        s = _KNOT_STRIDE
+        n = 3 * s
+        top, dip = 0.25, 5e-13
+        phi = (np.arange(1, n + 1) / n) - top + 1e-3
+        phi[:s] = s / n - top + dip
+        phi[s - 1] = s / n - top
+        phi[2 * s] = (2 * s + 1) / n - top + dip / 2
+        x, erfc = _tabulated(monkeypatch, phi)
+        expected = _direct_ks(x, erfc)
+        assert expected == s / n - phi[s - 1]
+        assert _ks_distance(x) == expected
+
+    def test_max_just_after_a_knot(self, monkeypatch):
+        # a tie from the first point after knot s to knot 2s makes the block
+        # bound Phi_b - (a+1)/n exact; a knot sits half a step 1/n below it
+        s = _KNOT_STRIDE
+        n = 3 * s
+        top = 0.25
+        phi = (np.arange(n) + 0.5) / n
+        phi[s + 1:2 * s + 1] = top + (s + 1) / n
+        phi[s] = top + (s - 0.5) / n
+        x, erfc = _tabulated(monkeypatch, phi)
+        expected = _direct_ks(x, erfc)
+        assert expected == phi[s + 1] - (s + 1) / n
+        assert _ks_distance(x) == expected
+
+    def test_prunes_most_points_of_a_large_sample(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate, "_erfc", _counting(calls, math.erfc))
+        x = np.random.default_rng(6).standard_normal(2**16)
+        assert _ks_distance(x) == _direct_ks(x)
+        assert sum(calls) <= 0.1 * x.size
+
+
+def _direct_gaps(x, erfc=math.erfc):
+    """The plain O(n) route: both KS gaps at every sorted point."""
+    x = np.sort(np.ravel(x))
+    n = x.size
+    cdf = 0.5 * np.array([erfc(v) for v in x * -math.sqrt(0.5)])
+    return np.maximum(np.arange(1, n + 1) / n - cdf, cdf - np.arange(n) / n)
+
+
+def _direct_ks(x, erfc=math.erfc):
+    return float(np.max(_direct_gaps(x, erfc)))
+
+
+def _tabulated(monkeypatch, phi):
+    """Sample 0, 1, ..., n-1 and an erfc that gives it the CDF values phi."""
+    x = np.arange(len(phi), dtype=float)
+    erfc = dict(zip(x * -math.sqrt(0.5), 2.0 * phi)).__getitem__
+    monkeypatch.setattr(simulate, "_erfc", np.frompyfunc(erfc, 1, 1))
+    return x, erfc
+
+
+def _counting(calls, erfc):
+    ufunc = np.frompyfunc(erfc, 1, 1)
+
+    def counted(v):
+        calls.append(np.size(v))
+        return ufunc(v)
+    return counted
+
+
+def _ks_samples(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    s = _KNOT_STRIDE
+    if kind == "normal":
+        return [rng.standard_normal(n) for n in range(1, 131)]
+    if kind == "stride_edges":
+        sizes = [k * s + d for k in (1, 2, 3, 16) for d in (-1, 0, 1)]
+        return [rng.standard_normal(n) * w + c
+                for n in sizes for w, c in ((1.0, 0.0), (0.3, 0.5), (4.0, -1.0))]
+    if kind == "ties_across_knots":
+        out = [np.round(rng.standard_normal(n), 1) for n in (2 * s, 5 * s + 3, 4096)]
+        for start in (s - 3, s - 1, s, 2 * s - 2):
+            x = np.sort(rng.standard_normal(4 * s + 1))
+            x[start:start + s + 2] = x[start]
+            out.append(x)
+        return out
+    if kind == "constant":
+        return [np.full(n, v) for n in (1, 2, s, s + 1, 3 * s + 7) for v in (-2.0, 0.0, 0.7)]
+    if kind == "tails":
+        # Phi rounds to 0 (erfc to 0) below about -38.5 and to 1 (erfc to 2)
+        # above about 8.3
+        out = []
+        for n in (3, s + 1, 5 * s):
+            x = rng.standard_normal(n)
+            x[: n // 3] = -40.0 - rng.random(n // 3)
+            x[-(n // 3):] = 30.0 + rng.random(n // 3)
+            out += [x, np.full(n, -40.0), np.full(n, 40.0)]
+        return out
+    # a sample that puts the largest gap strictly between two knots
+    out = []
+    for n in (3 * s, 8 * s + 11):
+        x = rng.standard_normal(n)
+        x[: n // 4] -= 0.4
+        out.append(x)
+    return out
 
 
 class TestRadialCovariance:
