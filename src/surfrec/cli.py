@@ -90,6 +90,8 @@ def _cmd_spectral(args) -> int:
 def _cmd_tikhonov(args) -> int:
     if args.lcurve == (args.lam is not None):
         raise ValueError("give exactly one of --lambda or --lcurve")
+    if args.lcurve and (args.mu is not None or args.degree != 0):
+        raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     if args.lcurve:
@@ -147,6 +149,17 @@ def _cmd_simulate(args) -> int:
     spec = simulate.default_bump_spec(args.rows, args.cols)
     z_true, g_true = simulate.bump_surface(spec)
     m, n = g_true.m, g_true.n
+    levels = _parse_float_list(args.levels)
+    if not levels:
+        raise ValueError("--levels needs at least one noise level")
+    if args.dump:
+        # the dump depends only on the flags and the true surface, so a bad
+        # prefix fails before the trials run and no metrics file is left
+        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
+            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
+        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
     methods = [
         ("gls", Gls()),
         ("spectral_half", Spectral(
@@ -157,21 +170,12 @@ def _cmd_simulate(args) -> int:
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
-    levels = _parse_float_list(args.levels)
-    if not levels:
-        raise ValueError("--levels needs at least one noise level")
     noise = simulate.NoiseSpec(_NOISE_FLAGS[args.noise], max(levels), args.seed)
     result = simulate.monte_carlo(
         methods, noise, levels, args.trials, args.seed,
         surface_spec=spec, order=args.order,
     )
     atomic_write(args.out, result.to_csv().encode())
-    if args.dump:
-        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
-            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
-        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
     return 0
 
 

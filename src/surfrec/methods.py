@@ -57,9 +57,14 @@ class Tikhonov:
 
     degree 0 penalizes the solution's magnitude (standard form), degree 1 its
     steepness, degree 2 its curvature; the smoothing operators are the
-    corresponding powers of the differentiation matrices.  ``reference`` is
-    an a-priori surface; omitted, it defaults to the zero surface.  ``mu``
-    defaults to ``lam``.
+    corresponding powers of the differentiation matrices.  ``mu`` defaults
+    to ``lam``.
+
+    ``reference`` is an a-priori surface Z0 (zero when omitted); the penalty
+    acts on the deviation Z - Z0, which the solve returns and Z0 is added
+    back to.  When the cost fixes Z only up to a constant (degree 1 or 2, or
+    lam = mu = 0), the mean-free surface comes back: the reference's own
+    mean does not.
     """
 
     lam: float
@@ -183,30 +188,24 @@ def _build_spectral(g, dx, dy, spec: Spectral):
 
 def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     lam, mu, k = spec.lam, spec.mu_value, spec.degree
-    if spec.reference is None:
-        z0 = np.zeros((g.m, g.n))
-    else:
-        z0 = np.asarray(spec.reference, dtype=float)
-        if z0.shape != (g.m, g.n):
-            raise DimensionError(f"reference surface must be {g.m}x{g.n}, got {z0.shape}")
-    if k == 0:
-        ly, lx = np.eye(g.m), np.eye(g.n)
-    else:
-        ly = np.linalg.matrix_power(dy.entries, k)
-        lx = np.linalg.matrix_power(dx.entries, k)
-    # each stacked operator annihilates constants unless it carries a
-    # degree-0 penalty with a positive parameter; the Sylvester operator is
-    # rank deficient only when both sides do
-    deficient = (k >= 1 or mu == 0.0) and (k >= 1 or lam == 0.0)
+    z0 = np.zeros((g.m, g.n)) if spec.reference is None else np.asarray(spec.reference, float)
+    if z0.shape != (g.m, g.n):
+        raise DimensionError(f"reference surface must be {g.m}x{g.n}, got {z0.shape}")
+    # the unknown is the deviation from z0, so the penalty rows carry no
+    # data; every row annihilates constants unless it is a degree-0 penalty
+    # with a positive parameter
+    deficient = k >= 1 or lam == mu == 0.0
     system = SylvesterSystem(
-        a=np.vstack([dy.entries, mu * ly]),
-        b=np.vstack([dx.entries, lam * lx]),
-        f=np.vstack([g.zy, mu * (ly @ z0)]),
-        g=np.hstack([g.zx, lam * (z0 @ lx.T)]),
+        a=np.vstack([dy.entries, mu * np.linalg.matrix_power(dy.entries, k)]),
+        b=np.vstack([dx.entries, lam * np.linalg.matrix_power(dx.entries, k)]),
+        f=np.vstack([g.zy - apply_dy(z0, dy), np.zeros_like(z0)]),
+        g=np.hstack([g.zx - apply_dx(z0, dx), np.zeros_like(z0)]),
         u=np.ones(g.m) if deficient else None,
         v=np.ones(g.n) if deficient else None,
     )
-    return system, lambda phi: phi
+    # a pinned deviation is mean free; so is the surface
+    offset = z0 - z0.mean() if deficient else z0
+    return system, lambda phi: phi + offset
 
 
 def _build_dirichlet(g, dx, dy, spec: Dirichlet):
@@ -220,8 +219,8 @@ def _build_dirichlet(g, dx, dy, spec: Dirichlet):
     system = SylvesterSystem(
         a=dy.entries[:, 1:-1],
         b=dx.entries[:, 1:-1],
-        f=(g.zy - dy.entries @ zb)[:, 1:-1],
-        g=(g.zx - zb @ dx.entries.T)[1:-1, :],
+        f=(g.zy - apply_dy(zb, dy))[:, 1:-1],
+        g=(g.zx - apply_dx(zb, dx))[1:-1, :],
     )
 
     def embed(interior):
@@ -269,7 +268,13 @@ def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
 
 
 def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec) -> SylvesterSystem:
-    """Coefficient blocks and null vectors of the method's normal equations."""
+    """Coefficient blocks and null vectors of the method's normal equations.
+
+    For Dirichlet, and for Tikhonov with a reference surface, the unknown
+    is the deviation from the a-priori grid (the boundary grid or the
+    reference): the data blocks hold the measured gradient minus the
+    gradient of that grid, and the Tikhonov penalty rows carry no data.
+    """
     return _build(g, dx, dy, spec)[0]
 
 

@@ -148,14 +148,19 @@ def corner(points) -> float:
     (Hansen & O'Leary, SIAM J. Sci. Comput. 14, 1993).  A concave bend is no
     corner.  A curve with no positive curvature anywhere (a straight line in
     log-log, or one that only bends the other way) yields the smallest
-    parameter.
+    parameter.  So does a curve with a zero rho or eta, as a zero gradient
+    gives: it has no log-log shape, and it is caught before any logarithm is
+    taken.
     """
     pts = list(points)
     if len(pts) < 5:
         raise ValueError(f"corner detection needs at least 5 points, got {len(pts)}")
     lams = np.array([p[0] for p in pts])
-    x = np.log(np.array([p[1] for p in pts]))
-    y = np.log(np.array([p[2] for p in pts]))
+    rho = np.array([p[1] for p in pts])
+    eta = np.array([p[2] for p in pts])
+    if min(rho.min(), eta.min()) <= 0.0:
+        return float(lams[0])
+    x, y = np.log(rho), np.log(eta)
     curv = np.zeros(len(pts))
     for i in range(1, len(pts) - 1):
         ax, ay = x[i] - x[i - 1], y[i] - y[i - 1]

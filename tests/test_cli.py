@@ -195,6 +195,21 @@ class TestFailureClasses:
         assert "invalid argument" in err and f"parameter {name} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--degree", "2"], ["--mu", "5"]])
+    def test_lcurve_refuses_fixed_parameter_flags(self, tmp_path, capsys, flag):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=89)
+        out = tmp_path / "z.g2s"
+        assert main(["tikhonov", zx, zy, "--lcurve", *flag, "--out", str(out)]) == 1
+        assert "invalid argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_dump_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--rows", "16", "--cols", "16", "--trials", "1",
+                     "--out", str(out), "--dump", str(tmp_path / "none" / "dump")]) == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,message", [
         (["bench", "--sizes", "16", "--repeats", "0"], "repeat"),
         (["simulate", "--rows", "16", "--cols", "16", "--levels", ""], "noise level"),

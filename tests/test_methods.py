@@ -6,6 +6,7 @@ from surfrec import (
     Tikhonov, Weighted, apply_dx, apply_dy, assemble, cosine_basis,
     gradient_misfit, gram_basis, reconstruct,
 )
+from surfrec.simulate import ORACLE_MAX_CELLS
 
 
 def quadratic_problem(n=11, order=2):
@@ -24,6 +25,29 @@ def noisy_problem(m=12, n=14, seed=21, order=2):
                       hx=0.3, hy=0.4)
     dx, dy = g.operators(order)
     return g, dx, dy
+
+
+def kron_tikhonov_minnorm(g, dx, dy, spec):
+    """Oracle: minimum-norm least squares of the Tikhonov cost
+
+        |Z Dx.T - Zx|^2 + |Dy Z - Zy|^2
+        + lam^2 |(Z - Z0) Lx.T|^2 + mu^2 |Ly (Z - Z0)|^2,
+
+    eliminated as one dense Kronecker-structured matrix built from the
+    operators' entries, with vec stacking columns.
+    """
+    m, n = g.m, g.n
+    assert m * n <= ORACLE_MAX_CELLS
+    k = spec.degree
+    lx = np.linalg.matrix_power(dx.entries, k)
+    ly = np.linalg.matrix_power(dy.entries, k)
+    pen = np.vstack([spec.lam * np.kron(lx, np.eye(m)),
+                     spec.mu_value * np.kron(np.eye(n), ly)])
+    coeff = np.vstack([np.kron(dx.entries, np.eye(m)), np.kron(np.eye(n), dy.entries), pen])
+    rhs = np.concatenate([g.zx.ravel(order="F"), g.zy.ravel(order="F"),
+                          pen @ spec.reference.ravel(order="F")])
+    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
+    return sol.reshape((m, n), order="F")
 
 
 class TestAssemble:
@@ -210,3 +234,44 @@ class TestReconstruct:
         dy = DiffMatrix(entries=np.zeros((2, 2)), h=1.0, order=2)
         with pytest.raises(DimensionError):
             reconstruct(g, dx, dy, Dirichlet(np.zeros((2, 5))))
+
+
+class TestTikhonovReference:
+    @pytest.mark.parametrize("lam,mu", [(0.5, 0.5), (0.8, 0.2), (0.6, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_dense_oracle(self, order, degree, lam, mu):
+        rng = np.random.default_rng(60 + 7 * order + degree)
+        # every penalty row annihilates constants at degree >= 1 or when
+        # both parameters vanish; the heights are then fixed up to a
+        # constant, and the minimum-norm (mean-free) one is returned
+        deficient = degree >= 1 or lam == mu == 0.0
+        for m, n in ((3, 4), (5, 7), (9, 6), (12, 12)):
+            if min(m, n) < order + 1:
+                continue
+            g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                              hx=0.7, hy=1.3)
+            dx, dy = g.operators(order)
+            z0 = 3.0 + rng.standard_normal((m, n))
+            spec = Tikhonov(lam=lam, mu=mu, degree=degree, reference=z0)
+            got = reconstruct(g, dx, dy, spec).heights
+            want = kron_tikhonov_minnorm(g, dx, dy, spec)
+            scale = np.linalg.norm(want)
+            if deficient:
+                assert abs(got.mean()) <= 1e-12 * np.max(np.abs(got)), (m, n)
+                got, want = got - got.mean(), want - want.mean()
+            err = np.linalg.norm(got - want) / scale
+            assert err <= 1e-10, (m, n, err)
+
+    def test_zero_reference_equals_no_reference(self):
+        g, dx, dy = noisy_problem(seed=61)
+        for degree in (0, 1, 2):
+            plain = reconstruct(g, dx, dy, Tikhonov(lam=0.7, mu=0.3, degree=degree))
+            zero = reconstruct(g, dx, dy, Tikhonov(lam=0.7, mu=0.3, degree=degree,
+                                                   reference=np.zeros((g.m, g.n))))
+            assert np.array_equal(plain.heights, zero.heights)
+
+    def test_reference_shape_mismatch(self):
+        g, dx, dy = noisy_problem()
+        with pytest.raises(DimensionError):
+            reconstruct(g, dx, dy, Tikhonov(lam=1.0, reference=np.zeros((g.m, g.n + 1))))

@@ -229,6 +229,16 @@ class TestCorner:
             return evaluate(reconstruct_from_cache(cache, lam), z_true, g, dx, dy).rel_error
         assert err(corner(points)) <= 1.05 * err(gcv_pick(cache, points))
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gradient_returns_smallest(self):
+        g = GradientField(np.zeros((40, 30)), np.zeros((40, 30)))
+        dx, dy = g.operators(4)
+        cache = build_cache(g, dx, dy)
+        grid = default_lambda_grid(cache)
+        points = l_curve(cache, grid)
+        assert all(rho == eta == 0.0 for _, rho, eta in points)
+        assert corner(points) == grid[0]
+
     def test_needs_five_points(self):
         with pytest.raises(ValueError):
             corner([(1.0, 1.0, 1.0)] * 4)
