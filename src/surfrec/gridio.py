@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,6 +99,21 @@ def _read_binary(path) -> GridData:
 
 
 def _read_csv(path) -> GridData:
+    try:
+        with warnings.catch_warnings():
+            # an empty file only warns; the row loop refuses it by name
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    except (ValueError, OSError, UserWarning):
+        # the row loop parses the same grid and raises its own error for a
+        # bad file, naming the first bad row
+        values = _read_csv_rows(path)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: grid contains non-finite values")
+    return GridData(values=values, hx=None, hy=None)
+
+
+def _read_csv_rows(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -119,7 +135,4 @@ def _read_csv(path) -> GridData:
             rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no numeric rows found")
-    values = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: grid contains non-finite values")
-    return GridData(values=values, hx=None, hy=None)
+    return np.array(rows, dtype=float)

@@ -9,6 +9,10 @@ map from the solved parameter matrix back to a height grid:
   tikhonov   penalized least squares (degree 0, 1, or 2 smoothing operators)
   dirichlet  prescribed heights on the boundary frame; interior solved
   weighted   Mahalanobis-weighted least squares via symmetric square roots
+
+Degree-0 Tikhonov shares the GLS blocks and only shifts the pencil, and a
+diagonal covariance whitens by row and column scaling, so both cost one GLS
+solve.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .basis import BasisSet
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError
-from .sylvester import SylvesterSystem, solve, sym_sqrt
+from .sylvester import SylvesterSystem, require_positive_definite, solve, sym_sqrt
 
 
 def check_parameter(name: str, value: float) -> None:
@@ -96,13 +100,35 @@ class Dirichlet:
     boundary: np.ndarray
 
 
+def _roots(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(root, inverse root) of an SPD matrix; 1-d vectors when it is diagonal."""
+    diag = mat.diagonal()
+    if np.count_nonzero(mat) != np.count_nonzero(diag):
+        return sym_sqrt(mat)
+    # the eigenvalues of a diagonal matrix are its entries
+    require_positive_definite(diag.min(), diag.max())
+    root = np.sqrt(diag)
+    return root, 1.0 / root
+
+
+def _sandwich(left: np.ndarray, x: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+    """left @ x @ right (left @ x without right), where a 1-d factor stands
+    for the diagonal matrix it holds and scales rows or columns instead."""
+    x = left @ x if left.ndim == 2 else left[:, None] * x
+    if right is None:
+        return x
+    return x @ right if right.ndim == 2 else x * right
+
+
 @dataclass(frozen=True)
 class CovarianceSet:
     """Row and column covariances of the gradient noise, all SPD.
 
     ``xy`` (m-by-m) and ``xx`` (n-by-n) are the covariances of the
     x-derivative down columns and along rows; ``yy`` (m-by-m) and ``yx``
-    (n-by-n) the same for the y-derivative.
+    (n-by-n) the same for the y-derivative.  A covariance whose
+    off-diagonal entries are all exactly zero is validated and rooted from
+    its diagonal alone.
     """
 
     xx: np.ndarray
@@ -110,7 +136,8 @@ class CovarianceSet:
     yx: np.ndarray
     yy: np.ndarray
     # (root, inverse root) of each covariance by name, from the one
-    # decomposition that also validates it
+    # decomposition that also validates it; a diagonal covariance keeps
+    # both as 1-d vectors of the diagonal's entries
     roots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,7 +148,7 @@ class CovarianceSet:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise DimensionError(f"covariance {name} must be square, got {mat.shape}")
             try:
-                roots[name] = sym_sqrt(mat)
+                roots[name] = _roots(mat)
             except ValueError as exc:
                 raise ValueError(f"covariance {name}: {exc}") from None
         object.__setattr__(self, "roots", roots)
@@ -191,20 +218,29 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     z0 = np.zeros((g.m, g.n)) if spec.reference is None else np.asarray(spec.reference, float)
     if z0.shape != (g.m, g.n):
         raise DimensionError(f"reference surface must be {g.m}x{g.n}, got {z0.shape}")
-    # the unknown is the deviation from z0, so the penalty rows carry no
-    # data; every row annihilates constants unless it is a degree-0 penalty
-    # with a positive parameter
-    deficient = k >= 1 or lam == mu == 0.0
+    # the unknown is the deviation from z0, so the penalty rows carry no data
+    f = g.zy - apply_dy(z0, dy)
+    gx = g.zx - apply_dx(z0, dx)
+    if k == 0:
+        # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil, and the
+        # shifted solution is mean free like the pinned one
+        system = SylvesterSystem(a=dy.entries, b=dx.entries, f=f, g=gx,
+                                 u=np.ones(g.m), v=np.ones(g.n), shift=lam * lam + mu * mu)
+        # with no penalty the cost fixes Z only up to a constant
+        offset = z0 - z0.mean() if lam == mu == 0.0 else z0
+        return system, lambda phi: phi + offset
+    # the smoothing operators D^k annihilate constants, so every row does
+    # and the surface comes back mean free
+    ly = dy.left_product(dy.entries) if k == 2 else dy.entries
+    lx = dx.left_product(dx.entries) if k == 2 else dx.entries
     system = SylvesterSystem(
-        a=np.vstack([dy.entries, mu * np.linalg.matrix_power(dy.entries, k)]),
-        b=np.vstack([dx.entries, lam * np.linalg.matrix_power(dx.entries, k)]),
-        f=np.vstack([g.zy - apply_dy(z0, dy), np.zeros_like(z0)]),
-        g=np.hstack([g.zx - apply_dx(z0, dx), np.zeros_like(z0)]),
-        u=np.ones(g.m) if deficient else None,
-        v=np.ones(g.n) if deficient else None,
+        a=np.vstack([dy.entries, mu * ly]),
+        b=np.vstack([dx.entries, lam * lx]),
+        f=np.vstack([f, np.zeros_like(z0)]),
+        g=np.hstack([gx, np.zeros_like(z0)]),
+        u=np.ones(g.m), v=np.ones(g.n),
     )
-    # a pinned deviation is mean free; so is the surface
-    offset = z0 - z0.mean() if deficient else z0
+    offset = z0 - z0.mean()
     return system, lambda phi: phi + offset
 
 
@@ -242,14 +278,14 @@ def _build_weighted(g, dx, dy, spec: Weighted):
     _, isqrt_yy = cov.roots["yy"]
     _, isqrt_xx = cov.roots["xx"]
     system = SylvesterSystem(
-        a=isqrt_yy @ dy.entries @ sqrt_xy,
-        b=isqrt_xx @ dx.entries @ sqrt_yx,
-        f=isqrt_yy @ g.zy @ isqrt_yx,
-        g=isqrt_xy @ g.zx @ isqrt_xx,
-        u=isqrt_xy @ np.ones(g.m),
-        v=isqrt_yx @ np.ones(g.n),
+        a=_sandwich(isqrt_yy, dy.entries, sqrt_xy),
+        b=_sandwich(isqrt_xx, dx.entries, sqrt_yx),
+        f=_sandwich(isqrt_yy, g.zy, isqrt_yx),
+        g=_sandwich(isqrt_xy, g.zx, isqrt_xx),
+        u=_sandwich(isqrt_xy, np.ones((g.m, 1))),
+        v=_sandwich(isqrt_yx, np.ones((g.n, 1))),
     )
-    return system, lambda phi: sqrt_xy @ phi @ sqrt_yx
+    return system, lambda phi: _sandwich(sqrt_xy, phi, sqrt_yx)
 
 
 def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
@@ -274,6 +310,9 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     is the deviation from the a-priori grid (the boundary grid or the
     reference): the data blocks hold the measured gradient minus the
     gradient of that grid, and the Tikhonov penalty rows carry no data.
+    Degree-0 Tikhonov returns the GLS operators, unstacked, with
+    ``shift = lam^2 + mu^2``; degrees 1 and 2 stack the penalty rows under
+    them.
     """
     return _build(g, dx, dy, spec)[0]
 

@@ -3,9 +3,10 @@
 Every reconstruction method in this package reduces to normal equations of
 the form
 
-    A.T A Phi + Phi B.T B - A.T F - G B = 0,
+    A.T A Phi + Phi B.T B + s Phi - A.T F - G B = 0,
 
-a Sylvester equation with symmetric positive semi-definite coefficients.
+a Sylvester equation with symmetric positive semi-definite coefficients and
+a non-negative shift s (the degree-0 Tikhonov penalty; zero otherwise).
 Every solve goes through one :class:`Factorization`, the symmetric
 eigendecompositions of A.T A and B.T B, in whose basis the equation is an
 elementwise division.  When A and B each annihilate a known vector (u and
@@ -25,6 +26,7 @@ solution up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +48,25 @@ def _require_symmetric(name: str, mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def require_positive_definite(lo: float, hi: float) -> None:
+    """Refuse a symmetric matrix whose eigenvalues span [lo, hi] unless the
+    smallest exceeds 1e-12 of the largest."""
+    if not lo > 1e-12 * max(hi, 0.0):
+        raise SingularSystemError(
+            f"matrix is not positive definite (eigenvalue range [{lo:.3e}, {hi:.3e}])"
+        )
+
+
 def sym_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric square root and inverse square root of an SPD matrix.
 
     Returns (mat^(1/2), mat^(-1/2)), both symmetric, computed from the
     eigendecomposition.  Raises if the matrix is not symmetric positive
-    definite (smallest eigenvalue must exceed 1e-12 of the largest).
+    definite (see :func:`require_positive_definite`).
     """
     mat = _require_symmetric("matrix", mat)
     evals, evecs = np.linalg.eigh(mat)
-    if evals[0] <= 1e-12 * max(evals[-1], 0.0):
-        raise SingularSystemError(
-            f"matrix is not positive definite (eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-        )
+    require_positive_definite(evals[0], evals[-1])
     root = (evecs * np.sqrt(evals)) @ evecs.T
     inv_root = (evecs / np.sqrt(evals)) @ evecs.T
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
@@ -124,15 +132,26 @@ class Factorization:
         return np.divide(c, denom, out=denom)
 
 
-def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve P X + X Q = C for symmetric PSD P, Q with a nonsingular pencil.
+def _check_shift(shift: float) -> float:
+    shift = float(shift)
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValueError(f"pencil shift must be finite and non-negative, got {shift!r}")
+    return shift
+
+
+def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Solve P X + X Q + shift X = C for symmetric PSD P, Q with a nonsingular pencil.
 
     Both coefficient matrices are diagonalized by symmetric eigendecomposition
     (:class:`Factorization`) and the transformed system is solved
-    elementwise as X'_ij = C'_ij / (lambda_i + mu_j); this costs the same
-    order of work as the Hessenberg-Schur route, and the same factorization
-    serves the regularization sweep of :mod:`surfrec.regparam`.
+    elementwise as X'_ij = C'_ij / (lambda_i + mu_j + shift); this costs the
+    same order of work as the Hessenberg-Schur route, and the same
+    factorization serves the regularization sweep of :mod:`surfrec.regparam`.
+    The pencil of P and Q must be nonsingular whatever the shift, since
+    :meth:`Factorization.divide` pins the null pair of a singular one; a
+    system whose operators annihilate vectors passes them as u and v.
     """
+    shift = _check_shift(shift)
     p = _require_symmetric("P", p)
     q = _require_symmetric("Q", q)
     c = np.asarray(c, dtype=float)
@@ -145,17 +164,20 @@ def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"singular pencil: smallest eigenvalue pair sums to {fac.lp[0] + fac.lq[0]:.3e}"
         )
-    return fac.from_basis(fac.divide(fac.to_basis(c)))
+    return fac.from_basis(fac.divide(fac.to_basis(c), shift))
 
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """Coefficient blocks of normal equations A.T A Phi + Phi B.T B = A.T F + G B.
+    """Blocks of normal equations A.T A Phi + Phi B.T B + shift Phi = A.T F + G B.
 
     ``a`` is r-by-m (left operator, possibly stacked), ``b`` is s-by-n,
     ``f`` is r-by-n, ``g`` is m-by-s, and the unknown Phi is m-by-n.
     ``u`` and ``v`` are the null vectors of ``a`` and ``b`` (both present or
-    both absent); when present the operator's null space is span{u v.T}.
+    both absent); when present the unshifted operator's null space is
+    span{u v.T}.  ``shift`` (finite, non-negative) weights a penalty
+    shift |Phi|_F^2 added to the cost; it moves every pencil eigenvalue by
+    the same amount and leaves the eigenvectors alone.
     """
 
     a: np.ndarray
@@ -164,6 +186,7 @@ class SylvesterSystem:
     g: np.ndarray
     u: np.ndarray | None = None
     v: np.ndarray | None = None
+    shift: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -181,6 +204,7 @@ class SylvesterSystem:
             raise DimensionError("null vectors u and v must both be given or both omitted")
         for blk, name in ((a, "a"), (b, "b"), (f, "f"), (g, "g")):
             object.__setattr__(self, name, blk)
+        object.__setattr__(self, "shift", _check_shift(self.shift))
         if self.u is not None:
             u = np.asarray(self.u, dtype=float).ravel()
             v = np.asarray(self.v, dtype=float).ravel()
@@ -204,14 +228,16 @@ class SylvesterSystem:
     def residual(self, phi: np.ndarray) -> float:
         """Frobenius norm of the normal-equation residual at phi."""
         return float(np.linalg.norm(
-            self.a.T @ (self.a @ phi) + (phi @ self.b.T) @ self.b - self.rhs()
+            self.a.T @ (self.a @ phi) + (phi @ self.b.T) @ self.b + self.shift * phi
+            - self.rhs()
         ))
 
     def cost(self, phi: np.ndarray) -> float:
-        """The least-squares functional |A phi - F|_F^2 + |phi B.T - G|_F^2."""
+        """|A phi - F|_F^2 + |phi B.T - G|_F^2 + shift |phi|_F^2."""
         return float(
             np.linalg.norm(self.a @ phi - self.f) ** 2
             + np.linalg.norm(phi @ self.b.T - self.g) ** 2
+            + self.shift * np.linalg.norm(phi) ** 2
         )
 
 
@@ -221,10 +247,12 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
     A.T A and B.T B are diagonalized by symmetric eigendecomposition.  In
     that basis the operator's null space u v.T is the single eigenvalue pair
     lambda_0 + mu_0 = 0; every other coefficient is divided by
-    lambda_i + mu_j, and the pinned one is left at zero (see
+    lambda_i + mu_j + shift, and the pinned one is left at zero (see
     :class:`Factorization`).  The null direction is then projected out of
     the back-transformed solution exactly, so the result is the unique
-    minimizer with u.T Phi v = 0.
+    minimizer with u.T Phi v = 0.  With a positive shift the minimizer is
+    unique anyway, and it satisfies u.T Phi v = 0 because u.T (A.T F + G B) v
+    vanishes, so the pin and the projection only remove rounding.
 
     The paper deflates the null space with Householder reflections first,
     as Bartels-Stewart needs a nonsingular pencil; the eigen route does not,
@@ -248,7 +276,7 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
             f"singular pencil: second-smallest eigenvalue pair sums to {second:.3e}; "
             "the operator's null space is larger than one"
         )
-    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs())))
+    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
     phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
     return phi
 
@@ -258,7 +286,7 @@ def solve(system: SylvesterSystem) -> np.ndarray:
     if system.u is not None:
         return solve_deflated(system)
     return solve_full_rank(
-        system.a.T @ system.a, system.b.T @ system.b, system.rhs()
+        system.a.T @ system.a, system.b.T @ system.b, system.rhs(), system.shift
     )
 
 

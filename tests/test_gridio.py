@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfrec import FormatError, read_grid, write_grid
-from surfrec.gridio import MAGIC
+from surfrec.gridio import MAGIC, _read_csv_rows
 
 
 class TestBinary:
@@ -86,6 +86,36 @@ class TestCsv:
         path.write_text("\n\n")
         with pytest.raises(FormatError, match="no numeric rows"):
             read_grid(path)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n\n3,4\n",
+        "1,2\n   \n3,4\n",  # a blank line of spaces stops the one-pass parser
+        " 1 , 2 \r\n3,4\r\n",
+        "1,2,3\n",
+        "1\n2\n3\n",
+        "1_0,2\n",  # Python float() reads digit separators; numpy does not
+        "0.1000000000000000055511151231257827,-0.0,4.9e-324,1e-400\n",
+    ])
+    def test_one_pass_parse_matches_row_loop(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode())
+        want = _read_csv_rows(path)
+        got = read_grid(path).values
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("text,message", [
+        ("1,2,\n3,4,\n", "row 1: non-numeric value"),
+        ("#x\n1,2\n", "row 1: non-numeric value"),
+        ("1,2\n\n3\n", "row 3: expected 2 values, got 1"),
+        ("1,nan\n", "grid contains non-finite values"),
+    ])
+    def test_failures_keep_their_messages(self, tmp_path, text, message):
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError) as exc:
+            read_grid(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    CovarianceSet, DimensionError, Dirichlet, Gls, GradientField, Spectral,
-    Tikhonov, Weighted, apply_dx, apply_dy, assemble, cosine_basis,
-    gradient_misfit, gram_basis, reconstruct,
+    CovarianceSet, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
+    Spectral, Tikhonov, Weighted, apply_dx, apply_dy, assemble, cosine_basis,
+    gradient_misfit, gram_basis, reconstruct, sym_sqrt,
 )
 from surfrec.simulate import ORACLE_MAX_CELLS
 
@@ -50,6 +50,39 @@ def kron_tikhonov_minnorm(g, dx, dy, spec):
     return sol.reshape((m, n), order="F")
 
 
+def kron_weighted_minnorm(g, dx, dy, cov):
+    """Oracle: the covariance-weighted gradient misfit
+
+        |Wxy^-1/2 (Z Dx.T - Zx) Wxx^-1/2|^2 + |Wyy^-1/2 (Dy Z - Zy) Wyx^-1/2|^2
+
+    as one dense Kronecker-structured least-squares problem, with vec
+    stacking columns.  Each weight is the inverse of a Cholesky factor,
+    which gives the same norm as the symmetric inverse root, and the
+    minimum-norm solution is shifted to the pin 1.T Wxy^-1 Z Wyx^-1 1 = 0.
+    """
+    m, n = g.m, g.n
+    assert m * n <= ORACLE_MAX_CELLS
+    wxx, wxy, wyx, wyy = (np.linalg.inv(np.linalg.cholesky(c))
+                          for c in (cov.xx, cov.xy, cov.yx, cov.yy))
+    # vec(L E R.T) = kron(R, L) vec(E)
+    tx, ty = np.kron(wxx, wxy), np.kron(wyx, wyy)
+    coeff = np.vstack([tx @ np.kron(dx.entries, np.eye(m)),
+                       ty @ np.kron(np.eye(n), dy.entries)])
+    rhs = np.concatenate([tx @ g.zx.ravel(order="F"), ty @ g.zy.ravel(order="F")])
+    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
+    z = sol.reshape((m, n), order="F")
+    pu, pv = np.linalg.solve(cov.xy, np.ones(m)), np.linalg.solve(cov.yx, np.ones(n))
+    return z - (pu @ z @ pv) / (pu.sum() * pv.sum())
+
+
+def random_covariance(rng, k, kind):
+    """A diagonal or a dense SPD k-by-k covariance."""
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.2, 3.0, k))
+    a = rng.standard_normal((k, k))
+    return np.diag(rng.uniform(0.5, 2.0, k)) + 0.3 * (a @ a.T) / k
+
+
 class TestAssemble:
     def test_gls_blocks(self):
         g, dx, dy = noisy_problem()
@@ -67,6 +100,18 @@ class TestAssemble:
         weighted = assemble(g, dx, dy, Weighted(CovarianceSet.identity(g.m, g.n)))
         for name in ("a", "b", "f", "g"):
             assert np.max(np.abs(getattr(plain, name) - getattr(weighted, name))) <= 1e-12
+
+    def test_degree_zero_tikhonov_is_shifted_gls(self):
+        g, dx, dy = noisy_problem()
+        for lam, mu in ((0.5, 0.5), (0.8, 0.2), (0.6, 0.0), (0.0, 0.0)):
+            system = assemble(g, dx, dy, Tikhonov(lam=lam, mu=mu))
+            assert system.a.shape == (g.m, g.m) and system.b.shape == (g.n, g.n)
+            assert np.array_equal(system.a, dy.entries)
+            assert np.array_equal(system.b, dx.entries)
+            assert np.array_equal(system.f, g.zy) and np.array_equal(system.g, g.zx)
+            assert system.shift == lam**2 + mu**2
+        assert assemble(g, dx, dy, Gls()).shift == 0.0
+        assert assemble(g, dx, dy, Tikhonov(lam=0.5, degree=2)).shift == 0.0
 
     def test_degenerate_stacked_penalty_solves_like_gls(self):
         g, dx, dy = noisy_problem()
@@ -95,6 +140,26 @@ class TestAssemble:
         with pytest.raises(ValueError):
             CovarianceSet(xx=np.array([[1.0, 0.5], [0.0, 1.0]]), xy=np.eye(3),
                           yx=np.eye(2), yy=np.eye(3))
+
+    def test_diagonal_covariance_roots_are_vectors(self):
+        rng = np.random.default_rng(5)
+        cov = CovarianceSet(xx=np.diag([4.0, 9.0]), xy=random_covariance(rng, 3, "dense"),
+                            yx=np.eye(2), yy=np.eye(3))
+        root, inv_root = cov.roots["xx"]
+        assert np.array_equal(root, [2.0, 3.0]) and np.array_equal(inv_root, [0.5, 1 / 3])
+        assert cov.roots["xy"][0].shape == (3, 3)
+
+    @pytest.mark.parametrize("entries", [[1.0, 0.0, 2.0], [1.0, -0.5, 2.0], [0.0, 0.0, 0.0]])
+    def test_bad_diagonal_refused_like_dense_route(self, entries):
+        mat = np.diag(entries)
+        with pytest.raises(SingularSystemError) as dense:
+            sym_sqrt(mat)
+        for name in ("xx", "yx"):
+            covs = {"xx": np.eye(3), "xy": np.eye(4), "yx": np.eye(3), "yy": np.eye(4), name: mat}
+            with pytest.raises(ValueError) as diag:
+                CovarianceSet(**covs)
+            assert type(diag.value) is ValueError
+            assert str(diag.value) == f"covariance {name}: {dense.value}"
 
     def test_tikhonov_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -159,6 +224,17 @@ class TestReconstruct:
         z_gls = reconstruct(g, dx, dy, Gls())
         z_t = reconstruct(g, dx, dy, Tikhonov(lam=0.0))
         assert np.max(np.abs(z_t.heights - z_gls.heights)) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e-7, 1e-5])
+    def test_tiny_degree_zero_parameter_is_solved_near_gls(self, lam):
+        # the shift lifts the constant's zero divisor to 2 lam^2, far below
+        # the pencil's rounding; the pinned solve keeps that constant at zero
+        g, dx, dy = noisy_problem(m=20, n=24, seed=40)
+        z_gls = reconstruct(g, dx, dy, Gls()).heights
+        z_t = reconstruct(g, dx, dy, Tikhonov(lam=lam)).heights
+        scale = np.linalg.norm(z_gls)
+        assert abs(z_t.mean()) <= 1e-14 * scale
+        assert np.linalg.norm(z_t - z_gls) <= 10 * lam * lam * scale + 1e-12 * scale
 
     def test_weighted_mean_is_zero(self):
         g, dx, dy = noisy_problem(seed=35)
@@ -234,6 +310,31 @@ class TestReconstruct:
         dy = DiffMatrix(entries=np.zeros((2, 2)), h=1.0, order=2)
         with pytest.raises(DimensionError):
             reconstruct(g, dx, dy, Dirichlet(np.zeros((2, 5))))
+
+
+class TestWeightedOracle:
+    @pytest.mark.parametrize("kinds", [
+        ("diagonal",) * 4,
+        ("dense",) * 4,
+        ("diagonal", "dense", "dense", "diagonal"),
+        ("dense", "diagonal", "diagonal", "dense"),
+    ])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_dense_oracle(self, order, kinds):
+        rng = np.random.default_rng(80 + 3 * order + len(set(kinds)))
+        for m, n in ((3, 4), (5, 7), (9, 6), (12, 12)):
+            if min(m, n) < order + 1:
+                continue
+            g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                              hx=0.7, hy=1.3)
+            dx, dy = g.operators(order)
+            sizes = {"xx": n, "xy": m, "yx": n, "yy": m}
+            cov = CovarianceSet(**{name: random_covariance(rng, sizes[name], kind)
+                                   for name, kind in zip(("xx", "xy", "yx", "yy"), kinds)})
+            got = reconstruct(g, dx, dy, Weighted(cov)).heights
+            want = kron_weighted_minnorm(g, dx, dy, cov)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (m, n, err)
 
 
 class TestTikhonovReference:

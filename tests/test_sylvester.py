@@ -5,6 +5,7 @@ from surfrec import (
     DimensionError, GradientField, SingularSystemError, SylvesterSystem,
     diff_matrix, solve_deflated, solve_full_rank, sym_sqrt, work_estimate,
 )
+from surfrec.sylvester import solve
 
 
 def kron_sylvester_solve(p, q, c):
@@ -214,3 +215,59 @@ class TestSylvesterSystem:
         with pytest.raises(DimensionError):
             SylvesterSystem(a=d.entries, b=d.entries, f=g.zy, g=g.zx,
                             u=np.ones(5), v=None)
+
+
+class TestShift:
+    @staticmethod
+    def shifted_system(seed, shift, m=6, n=8):
+        rng = np.random.default_rng(seed)
+        g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                          hx=0.7, hy=1.3)
+        dx, dy = g.operators(2)
+        return SylvesterSystem(a=dy.entries, b=dx.entries, f=g.zy, g=g.zx,
+                               u=np.ones(m), v=np.ones(n), shift=shift), rng
+
+    def test_residual_and_cost_include_shift(self):
+        system, rng = self.shifted_system(40, 0.37)
+        a, b, s = system.a, system.b, system.shift
+        phi = rng.standard_normal(system.phi_shape)
+        normal = a.T @ a @ phi + phi @ b.T @ b + s * phi - system.rhs()
+        assert system.residual(phi) == pytest.approx(np.linalg.norm(normal), rel=1e-12)
+        # the cost is quadratic, so a central difference is exact up to
+        # rounding: its slope along E is 2 <normal-equation residual, E>
+        step = 1e-3
+        for _ in range(5):
+            bump = rng.standard_normal(phi.shape)
+            diff = (system.cost(phi + step * bump) - system.cost(phi - step * bump)) / (2 * step)
+            assert diff == pytest.approx(2.0 * np.sum(normal * bump), rel=1e-8)
+        plain = SylvesterSystem(a=a, b=b, f=system.f, g=system.g)
+        assert system.cost(phi) - plain.cost(phi) == pytest.approx(
+            s * np.linalg.norm(phi) ** 2, rel=1e-10)
+
+    def test_shifted_solves_match_kronecker_oracle(self):
+        system, rng = self.shifted_system(41, 0.8)
+        a, b, s = system.a, system.b, system.shift
+        want = kron_sylvester_solve(a.T @ a + s * np.eye(a.shape[1]), b.T @ b, system.rhs())
+        scale = np.max(np.abs(want))
+        # pinned route: the shifted minimizer is unique and already mean free
+        assert np.max(np.abs(solve(system) - want)) <= 1e-10 * scale
+        assert system.residual(solve(system)) <= 1e-10 * np.linalg.norm(system.rhs())
+        p, q = a.T @ a + np.eye(a.shape[1]), b.T @ b + np.eye(b.shape[1])
+        c = rng.standard_normal(system.phi_shape)
+        want = kron_sylvester_solve(p + s * np.eye(p.shape[0]), q, c)
+        got = solve_full_rank(p, q, c, s)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_bad_shift_refused(self, bad):
+        with pytest.raises(ValueError, match="shift"):
+            self.shifted_system(42, bad)
+        with pytest.raises(ValueError, match="shift"):
+            solve_full_rank(np.eye(2), np.eye(2), np.ones((2, 2)), bad)
+
+    def test_shift_does_not_lift_a_singular_full_rank_pencil(self):
+        # divide pins the null pair of a singular pencil whatever the shift,
+        # so a system without null vectors must have a nonsingular one
+        d = diff_matrix(6, 1.0, 2).entries
+        with pytest.raises(SingularSystemError):
+            solve_full_rank(d.T @ d, d.T @ d, np.ones((6, 6)), 1.0)
