@@ -102,7 +102,7 @@ def _read_csv(path) -> GridData:
     try:
         with warnings.catch_warnings():
             # an empty file only warns; the row loop refuses it by name
-            warnings.simplefilter("error")
+            warnings.simplefilter("error", UserWarning)
             values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
     except (ValueError, OSError, UserWarning):
         # the row loop parses the same grid and raises its own error for a

@@ -132,26 +132,15 @@ class Factorization:
         return np.divide(c, denom, out=denom)
 
 
-def _check_shift(shift: float) -> float:
-    shift = float(shift)
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValueError(f"pencil shift must be finite and non-negative, got {shift!r}")
-    return shift
-
-
-def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Solve P X + X Q + shift X = C for symmetric PSD P, Q with a nonsingular pencil.
+def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve P X + X Q = C for symmetric PSD P, Q with a nonsingular pencil.
 
     Both coefficient matrices are diagonalized by symmetric eigendecomposition
     (:class:`Factorization`) and the transformed system is solved
-    elementwise as X'_ij = C'_ij / (lambda_i + mu_j + shift); this costs the
-    same order of work as the Hessenberg-Schur route, and the same
-    factorization serves the regularization sweep of :mod:`surfrec.regparam`.
-    The pencil of P and Q must be nonsingular whatever the shift, since
-    :meth:`Factorization.divide` pins the null pair of a singular one; a
-    system whose operators annihilate vectors passes them as u and v.
+    elementwise as X'_ij = C'_ij / (lambda_i + mu_j); this costs the same
+    order of work as the Hessenberg-Schur route, and the same factorization
+    serves the regularization sweep of :mod:`surfrec.regparam`.
     """
-    shift = _check_shift(shift)
     p = _require_symmetric("P", p)
     q = _require_symmetric("Q", q)
     c = np.asarray(c, dtype=float)
@@ -164,7 +153,7 @@ def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray, shift: float = 
         raise SingularSystemError(
             f"singular pencil: smallest eigenvalue pair sums to {fac.lp[0] + fac.lq[0]:.3e}"
         )
-    return fac.from_basis(fac.divide(fac.to_basis(c), shift))
+    return fac.from_basis(fac.divide(fac.to_basis(c)))
 
 
 @dataclass(frozen=True)
@@ -204,7 +193,10 @@ class SylvesterSystem:
             raise DimensionError("null vectors u and v must both be given or both omitted")
         for blk, name in ((a, "a"), (b, "b"), (f, "f"), (g, "g")):
             object.__setattr__(self, name, blk)
-        object.__setattr__(self, "shift", _check_shift(self.shift))
+        shift = float(self.shift)
+        if not (math.isfinite(shift) and shift >= 0):
+            raise ValueError(f"pencil shift must be finite and non-negative, got {shift!r}")
+        object.__setattr__(self, "shift", shift)
         if self.u is not None:
             u = np.asarray(self.u, dtype=float).ravel()
             v = np.asarray(self.v, dtype=float).ravel()
@@ -282,12 +274,16 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
 
 
 def solve(system: SylvesterSystem) -> np.ndarray:
-    """Dispatch to the deflated or full-rank path based on the null vectors."""
+    """Dispatch to the deflated or full-rank path based on the null vectors.
+
+    Without null vectors the shift is folded into A.T A, so a pencil that
+    only the shift makes nonsingular is solved.
+    """
     if system.u is not None:
         return solve_deflated(system)
-    return solve_full_rank(
-        system.a.T @ system.a, system.b.T @ system.b, system.rhs(), system.shift
-    )
+    p = system.a.T @ system.a
+    p.flat[:: p.shape[0] + 1] += system.shift
+    return solve_full_rank(p, system.b.T @ system.b, system.rhs())
 
 
 def work_estimate(m: int, n: int, method: str = "sylvester", truncation_level: int = 0) -> float:

@@ -252,22 +252,25 @@ class TestShift:
         # pinned route: the shifted minimizer is unique and already mean free
         assert np.max(np.abs(solve(system) - want)) <= 1e-10 * scale
         assert system.residual(solve(system)) <= 1e-10 * np.linalg.norm(system.rhs())
-        p, q = a.T @ a + np.eye(a.shape[1]), b.T @ b + np.eye(b.shape[1])
-        c = rng.standard_normal(system.phi_shape)
-        want = kron_sylvester_solve(p + s * np.eye(p.shape[0]), q, c)
-        got = solve_full_rank(p, q, c, s)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # full-rank route: no null vectors, a nonsingular unshifted pencil
+        a = np.vstack([a, np.eye(a.shape[1])])
+        f = np.vstack([system.f, rng.standard_normal(system.phi_shape)])
+        full = SylvesterSystem(a=a, b=b, f=f, g=system.g, shift=s)
+        want = kron_sylvester_solve(a.T @ a + s * np.eye(a.shape[1]), b.T @ b, full.rhs())
+        assert np.max(np.abs(solve(full) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_shift_lifts_a_singular_pencil_without_null_vectors(self):
+        system, rng = self.shifted_system(43, 0.5)
+        bare = SylvesterSystem(a=system.a, b=system.b, f=system.f, g=system.g)
+        with pytest.raises(SingularSystemError):
+            solve(bare)
+        lifted = SylvesterSystem(a=system.a, b=system.b, f=system.f, g=system.g,
+                                 shift=system.shift)
+        a, b, s = system.a, system.b, system.shift
+        want = kron_sylvester_solve(a.T @ a + s * np.eye(a.shape[1]), b.T @ b, system.rhs())
+        assert np.max(np.abs(solve(lifted) - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
     def test_bad_shift_refused(self, bad):
         with pytest.raises(ValueError, match="shift"):
             self.shifted_system(42, bad)
-        with pytest.raises(ValueError, match="shift"):
-            solve_full_rank(np.eye(2), np.eye(2), np.ones((2, 2)), bad)
-
-    def test_shift_does_not_lift_a_singular_full_rank_pencil(self):
-        # divide pins the null pair of a singular pencil whatever the shift,
-        # so a system without null vectors must have a nonsingular one
-        d = diff_matrix(6, 1.0, 2).entries
-        with pytest.raises(SingularSystemError):
-            solve_full_rank(d.T @ d, d.T @ d, np.ones((6, 6)), 1.0)
