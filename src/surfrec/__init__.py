@@ -27,8 +27,7 @@ from .simulate import (
     evaluate, monte_carlo, oracle_gls, radial_covariance_set,
 )
 from .sylvester import (
-    Factorization, SylvesterSystem, solve_deflated, solve_full_rank, sym_sqrt,
-    work_estimate,
+    Factorization, SylvesterSystem, solve, sym_sqrt, work_estimate,
 )
 
 __version__ = "0.1.0"
@@ -44,6 +43,6 @@ __all__ = [
     "diff_matrix", "evaluate", "filter_factors", "gradient_misfit", "gram_basis",
     "haar_basis", "l_curve", "make_basis", "monte_carlo", "oracle_gls",
     "radial_covariance_set", "read_grid", "reconstruct", "reconstruct_from_cache",
-    "solve_deflated", "solve_full_rank", "sym_sqrt", "tikhonov_coefficients",
+    "solve", "sym_sqrt", "tikhonov_coefficients",
     "work_estimate", "write_grid",
 ]

@@ -79,6 +79,9 @@ def _cmd_spectral(args) -> int:
     bx = make_basis(args.basis, g.n, q)
     if args.drop_cols:
         dropped = _parse_int_list(args.drop_cols)
+        widest = max(by.p, bx.p)
+        if any(c >= widest for c in dropped):
+            raise ValueError(f"--drop-cols index out of range 0..{widest - 1} on both axes")
         by = by.drop([c for c in dropped if c < by.p])
         bx = bx.drop([c for c in dropped if c < bx.p])
     z = reconstruct(g, dx, dy, Spectral(basis_y=by, basis_x=bx))
@@ -152,6 +155,8 @@ def _cmd_simulate(args) -> int:
     levels = _parse_float_list(args.levels)
     if not levels:
         raise ValueError("--levels needs at least one noise level")
+    for level in levels:  # refuse a bad level before any trial runs
+        simulate.NoiseSpec(_NOISE_FLAGS[args.noise], level)
     if args.dump:
         # the dump depends only on the flags and the true surface, so a bad
         # prefix fails before the trials run and no metrics file is left

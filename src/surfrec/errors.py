@@ -19,9 +19,10 @@ class FormatError(SurfrecError, ValueError):
 
 
 class SingularSystemError(SurfrecError, ValueError):
-    """A coefficient pencil is singular where a full-rank system was expected,
-    or an operator's null space has more than the one dimension the deflated
-    solve pins (malformed differential operator)."""
+    """:func:`~surfrec.sylvester.factor` refused a pencil: it is singular
+    although the system names no null vectors, or the operator's null space
+    has more than the one dimension the solve pins (malformed differential
+    operator)."""
 
 
 class SizeGuardError(SurfrecError, ValueError):

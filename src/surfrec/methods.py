@@ -175,7 +175,7 @@ def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> floa
     return float(np.linalg.norm(zxr) ** 2 + np.linalg.norm(zyr) ** 2)
 
 
-def check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
+def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
     """Refuse operators whose node counts do not match the gradient grid."""
     if dx.n != g.n:
         raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
@@ -289,7 +289,7 @@ def _build_weighted(g, dx, dy, spec: Weighted):
 
 
 def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
-    check_operators(g, dx, dy)
+    _check_operators(g, dx, dy)
     if isinstance(spec, Gls):
         return _build_gls(g, dx, dy)
     if isinstance(spec, Spectral):
@@ -321,10 +321,10 @@ def reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSp
     """Reconstruct a surface from a measured gradient field.
 
     Solves the method's Sylvester equation and maps the parameter matrix
-    back to a height grid.  When the operator has its rank-one null space
-    (the constant of integration), the pinned eigen solve of
-    :func:`~surfrec.sylvester.solve_deflated` returns the minimizer with
-    u.T Phi v = 0; otherwise the full-rank eigen solve is used.
+    back to a height grid through :func:`~surfrec.sylvester.solve`, which
+    factors the system once.  When the operator has its rank-one null space
+    (the constant of integration), the solve pins it and returns the
+    minimizer with u.T Phi v = 0.
     """
     system, to_surface = _build(g, dx, dy, spec)
     return Surface(heights=to_surface(solve(system)), hx=g.hx, hy=g.hy)

@@ -3,7 +3,7 @@
 Degree-0 Tikhonov with mu = lam adds 2 lam^2 to every eigenvalue of the
 GLS Sylvester operator and changes nothing else, so factoring the two
 coefficient matrices D_y.T D_y and D_x.T D_x once
-(:class:`~surfrec.sylvester.Factorization`) turns every subsequent
+(:func:`~surfrec.sylvester.factor` of the GLS system) turns every subsequent
 regularized solve into an elementwise formula over the transformed
 right-hand side; a whole sweep of regularization parameters (an L-curve)
 costs little more than the two symmetric eigendecompositions.
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffops import DiffMatrix, GradientField, Surface
-from .methods import check_operators, check_parameter, gradient_misfit
-from .sylvester import Factorization
+from .methods import Gls, assemble, check_parameter, gradient_misfit
+from .sylvester import Factorization, factor
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCac
     Cost is dominated by the two symmetric eigendecompositions; everything
     downstream of the cache is O(mn) per regularization parameter.
     """
-    check_operators(g, dx, dy)
-    factors = Factorization.of(dy.entries.T @ dy.entries, dx.entries.T @ dx.entries)
-    rhs_t = factors.to_basis(dy.entries.T @ g.zy + g.zx @ dx.entries)
+    system = assemble(g, dx, dy, Gls())
+    factors = factor(system)
+    rhs_t = factors.to_basis(system.rhs())
     z0 = factors.from_basis(factors.divide(rhs_t))
     return SpectralCache(
         factors=factors,

@@ -123,8 +123,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-        if self.level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not (math.isfinite(self.level) and self.level >= 0):
+            raise ValueError(f"noise level must be finite and non-negative, got {self.level!r}")
         if self.kind == "outliers" and self.level > 1:
             raise ValueError("outlier fraction cannot exceed 1")
 

@@ -7,14 +7,15 @@ the form
 
 a Sylvester equation with symmetric positive semi-definite coefficients and
 a non-negative shift s (the degree-0 Tikhonov penalty; zero otherwise).
-Every solve goes through one :class:`Factorization`, the symmetric
-eigendecompositions of A.T A and B.T B, in whose basis the equation is an
-elementwise division.  When A and B each annihilate a known vector (u and
-v), the operator has the rank-one null space u v.T; in that basis it is the
-single zero eigenvalue pair, whose coefficient :func:`solve_deflated` leaves
-at zero before projecting u v.T out of the solution exactly.  This pins the
-free constant of integration to zero, so the returned solution satisfies
-u.T Phi v = 0 (mean free in the unweighted case).
+Every solve takes one route: :func:`factor` forms the symmetric
+eigendecompositions of A.T A and B.T B (a :class:`Factorization`), in
+whose basis :func:`solve` divides the equation elementwise.  When A and B
+each annihilate a known vector (u and v), the operator has the rank-one
+null space u v.T; in that basis it is the single zero eigenvalue pair,
+whose coefficient :func:`solve` leaves at zero before projecting u v.T out
+of the solution exactly.  This pins the free constant of integration to
+zero, so the returned solution satisfies u.T Phi v = 0 (mean free in the
+unweighted case).
 
 The paper removes the null space by Householder deflation before solving,
 because the Bartels-Stewart algorithm cannot take a singular pencil.  The
@@ -76,6 +77,7 @@ def sym_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Factorization:
     """Symmetric eigendecompositions of the Sylvester coefficients P and Q.
 
+    :func:`factor` builds one from a system, with P = A.T A and Q = B.T B.
     P = up diag(lp) up.T and Q = uq diag(lq) uq.T, eigenvalues ascending.
     In this basis P X + X Q = C is the elementwise division
     X'_ij = C'_ij / (lp_i + lq_j), and a degree-0 Tikhonov penalty on both
@@ -91,13 +93,6 @@ class Factorization:
     up: np.ndarray
     lq: np.ndarray
     uq: np.ndarray
-
-    @classmethod
-    def of(cls, p: np.ndarray, q: np.ndarray) -> Factorization:
-        """Factor symmetric P and Q (only their lower triangles are read)."""
-        lp, up = np.linalg.eigh(p)
-        lq, uq = np.linalg.eigh(q)
-        return cls(lp=lp, up=up, lq=lq, uq=uq)
 
     @property
     def tol(self) -> float:
@@ -130,30 +125,6 @@ class Factorization:
         if self.pinned:
             denom[0, 0] = np.inf  # the pinned constant of integration
         return np.divide(c, denom, out=denom)
-
-
-def solve_full_rank(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve P X + X Q = C for symmetric PSD P, Q with a nonsingular pencil.
-
-    Both coefficient matrices are diagonalized by symmetric eigendecomposition
-    (:class:`Factorization`) and the transformed system is solved
-    elementwise as X'_ij = C'_ij / (lambda_i + mu_j); this costs the same
-    order of work as the Hessenberg-Schur route, and the same factorization
-    serves the regularization sweep of :mod:`surfrec.regparam`.
-    """
-    p = _require_symmetric("P", p)
-    q = _require_symmetric("Q", q)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (p.shape[0], q.shape[0]):
-        raise DimensionError(
-            f"right-hand side must be {p.shape[0]}x{q.shape[0]}, got {c.shape}"
-        )
-    fac = Factorization.of(p, q)
-    if fac.pinned:
-        raise SingularSystemError(
-            f"singular pencil: smallest eigenvalue pair sums to {fac.lp[0] + fac.lq[0]:.3e}"
-        )
-    return fac.from_basis(fac.divide(fac.to_basis(c)))
 
 
 @dataclass(frozen=True)
@@ -233,31 +204,30 @@ class SylvesterSystem:
         )
 
 
-def solve_deflated(system: SylvesterSystem) -> np.ndarray:
-    """Solve a rank-one-deficient system by a pinned eigen solve.
+def factor(system: SylvesterSystem) -> Factorization:
+    """Eigendecompositions of the system's coefficients A.T A and B.T B.
 
-    A.T A and B.T B are diagonalized by symmetric eigendecomposition.  In
-    that basis the operator's null space u v.T is the single eigenvalue pair
-    lambda_0 + mu_0 = 0; every other coefficient is divided by
-    lambda_i + mu_j + shift, and the pinned one is left at zero (see
-    :class:`Factorization`).  The null direction is then projected out of
-    the back-transformed solution exactly, so the result is the unique
-    minimizer with u.T Phi v = 0.  With a positive shift the minimizer is
-    unique anyway, and it satisfies u.T Phi v = 0 because u.T (A.T F + G B) v
-    vanishes, so the pin and the projection only remove rounding.
-
-    The paper deflates the null space with Householder reflections first,
-    as Bartels-Stewart needs a nonsingular pencil; the eigen route does not,
-    and it returns the same solution.  A null space of more than one
-    dimension is refused: the second-smallest pencil eigenvalue,
-    min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed the same relative
-    tolerance that :func:`solve_full_rank` applies to the smallest one.
+    Without null vectors the shift is folded into A.T A, so a pencil that
+    only the shift makes nonsingular is factored; a pencil that is still
+    singular is refused.  With null vectors the shift is left to
+    :meth:`Factorization.divide`, and the operator's null space must be
+    exactly span{u v.T}: the second-smallest pencil eigenvalue,
+    min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed the relative
+    tolerance that the smallest one is pinned at.
     """
-    if system.u is None or system.v is None:
-        raise ValueError("deflated solve requires both null vectors; use solve_full_rank instead")
-    a, b, u, v = system.a, system.b, system.u, system.v
-    fac = Factorization.of(a.T @ a, b.T @ b)
-    lp, lq = fac.lp, fac.lq
+    a, b = system.a, system.b
+    p = a.T @ a
+    if system.u is None:
+        p.flat[:: p.shape[0] + 1] += system.shift
+    lp, up = np.linalg.eigh(p)
+    lq, uq = np.linalg.eigh(b.T @ b)
+    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
+    if system.u is None:
+        if fac.pinned:
+            raise SingularSystemError(
+                f"singular pencil: smallest eigenvalue pair sums to {lp[0] + lq[0]:.3e}"
+            )
+        return fac
     second = np.inf  # a side with a single unknown contributes no candidate
     if lp.size > 1:
         second = lp[1] + lq[0]
@@ -268,22 +238,28 @@ def solve_deflated(system: SylvesterSystem) -> np.ndarray:
             f"singular pencil: second-smallest eigenvalue pair sums to {second:.3e}; "
             "the operator's null space is larger than one"
         )
-    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
-    phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
-    return phi
+    return fac
 
 
 def solve(system: SylvesterSystem) -> np.ndarray:
-    """Dispatch to the deflated or full-rank path based on the null vectors.
+    """Solve the system's normal equations through one :func:`factor`.
 
-    Without null vectors the shift is folded into A.T A, so a pencil that
-    only the shift makes nonsingular is solved.
+    In the eigenbasis every coefficient is divided by its pencil eigenvalue
+    lambda_i + mu_j (+ shift).  With null vectors the pinned pair's
+    coefficient stays zero and u v.T is projected out of the back-transformed
+    solution exactly, so the result is the unique minimizer with
+    u.T Phi v = 0.  With a positive shift the minimizer is unique anyway,
+    and it satisfies u.T Phi v = 0 because u.T (A.T F + G B) v vanishes, so
+    the pin and the projection only remove rounding.
     """
-    if system.u is not None:
-        return solve_deflated(system)
-    p = system.a.T @ system.a
-    p.flat[:: p.shape[0] + 1] += system.shift
-    return solve_full_rank(p, system.b.T @ system.b, system.rhs())
+    fac = factor(system)
+    u, v = system.u, system.v
+    # without null vectors the shift is already inside the factorization
+    shift = 0.0 if u is None else system.shift
+    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), shift))
+    if u is not None:
+        phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
+    return phi
 
 
 def work_estimate(m: int, n: int, method: str = "sylvester", truncation_level: int = 0) -> float:

@@ -228,3 +228,25 @@ class TestFailureClasses:
         assert main(["spectral", zx, zy, "--drop-cols=-1", "--out", str(out)]) == 1
         assert "invalid argument" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_drop_column_out_of_range_on_both_axes(self, tmp_path, capsys):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=90)
+        out = tmp_path / "z.g2s"
+        assert main(["spectral", zx, zy, "--drop-cols=999", "--out", str(out)]) == 1
+        assert "invalid argument" in capsys.readouterr().err
+        assert not out.exists()
+        # an index in range on one axis only still drops from that axis
+        assert main(["spectral", zx, zy, "--p", "8", "--q", "4", "--drop-cols=6",
+                     "--out", str(out)]) == 0
+        dropped = printed_cost(capsys)
+        assert main(["spectral", zx, zy, "--p", "8", "--q", "4", "--out", str(out)]) == 0
+        assert printed_cost(capsys) != dropped
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "0.1,nan"])
+    def test_non_finite_noise_level(self, tmp_path, capsys, level):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--rows", "16", "--cols", "16", "--trials", "1",
+                     "--levels", level, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid argument" in err and "noise level" in err
+        assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 from surfrec import (
     CovarianceSet, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
     Spectral, Tikhonov, Weighted, apply_dx, apply_dy, assemble, cosine_basis,
-    gradient_misfit, gram_basis, reconstruct, sym_sqrt,
+    gradient_misfit, gram_basis, make_basis, reconstruct, sym_sqrt,
 )
 from surfrec.simulate import ORACLE_MAX_CELLS
 
@@ -73,6 +73,45 @@ def kron_weighted_minnorm(g, dx, dy, cov):
     z = sol.reshape((m, n), order="F")
     pu, pv = np.linalg.solve(cov.xy, np.ones(m)), np.linalg.solve(cov.yx, np.ones(n))
     return z - (pu @ z @ pv) / (pu.sum() * pv.sum())
+
+
+def kron_gls_rows(g, dx, dy):
+    """The GLS misfit |Z Dx.T - Zx|^2 + |Dy Z - Zy|^2 as one dense
+    Kronecker-structured least-squares matrix and right-hand side, with vec
+    stacking columns."""
+    m, n = g.m, g.n
+    assert m * n <= ORACLE_MAX_CELLS
+    coeff = np.vstack([np.kron(dx.entries, np.eye(m)), np.kron(np.eye(n), dy.entries)])
+    return coeff, np.concatenate([g.zx.ravel(order="F"), g.zy.ravel(order="F")])
+
+
+def kron_spectral_minnorm(g, dx, dy, by, bx):
+    """Oracle: the GLS misfit over surfaces Z = By C Bx.T, solved for the
+    minimum-norm coefficients C.  With both constant columns present the
+    constant pair's coefficient is the null direction, so it comes back
+    zero, as the solver pins it."""
+    coeff, rhs = kron_gls_rows(g, dx, dy)
+    t = np.kron(bx.entries, by.entries)  # vec(By C Bx.T) = kron(Bx, By) vec(C)
+    c, *_ = np.linalg.lstsq(coeff @ t, rhs, rcond=None)
+    return (t @ c).reshape((g.m, g.n), order="F")
+
+
+def kron_dirichlet(g, dx, dy, zb):
+    """Oracle: the GLS misfit over the interior heights, with the frame of
+    zb held fixed and its interior as the starting surface."""
+    coeff, rhs = kron_gls_rows(g, dx, dy)
+    inner = np.zeros((g.m, g.n), dtype=bool)
+    inner[1:-1, 1:-1] = True
+    sel = inner.ravel(order="F")
+    sol, *_ = np.linalg.lstsq(coeff[:, sel], rhs - coeff @ zb.ravel(order="F"), rcond=None)
+    z = zb.copy()
+    z[1:-1, 1:-1] += sol.reshape((g.m - 2, g.n - 2), order="F")
+    return z
+
+
+# shapes from 3 to 12 nodes per side, square and not
+ORACLE_SHAPES = sorted({(m, n) for m in range(3, 13)
+                        for n in (max(m - 1, 3), m, min(m + 2, 12))} | {(4, 8), (8, 4)})
 
 
 def random_covariance(rng, k, kind):
@@ -333,6 +372,54 @@ class TestWeightedOracle:
                                    for name, kind in zip(("xx", "xy", "yx", "yy"), kinds)})
             got = reconstruct(g, dx, dy, Weighted(cov)).heights
             want = kron_weighted_minnorm(g, dx, dy, cov)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (m, n, err)
+
+
+class TestSpectralOracle:
+    @pytest.mark.parametrize("spacing", [(0.7, 1.3), (1.3, 0.7)])
+    @pytest.mark.parametrize("family", ["cosine", "gram", "haar"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_dense_oracle(self, order, family, spacing):
+        rng = np.random.default_rng(90 + 3 * order + len(family))
+        checked = 0
+        for m, n in ORACLE_SHAPES:
+            if min(m, n) < order + 1:
+                continue
+            if family == "haar" and (m & (m - 1) or n & (n - 1)):
+                continue
+            g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                              hx=spacing[0], hy=spacing[1])
+            dx, dy = g.operators(order)
+            full_y, full_x = make_basis(family, m, m), make_basis(family, n, n)
+            half_y, half_x = (make_basis(family, m, (m + 1) // 2),
+                              make_basis(family, n, (n + 1) // 2))
+            # complete, half-truncated, and band-pass (no constant column,
+            # so no null vectors)
+            for by, bx in ((full_y, full_x), (half_y, half_x),
+                           (full_y.drop([0]), full_x.drop([0]))):
+                got = reconstruct(g, dx, dy, Spectral(by, bx)).heights
+                want = kron_spectral_minnorm(g, dx, dy, by, bx)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err <= 1e-10, (m, n, by.p, bx.p, err)
+                checked += 1
+        assert checked >= 3  # one shape of each kind at least
+
+
+class TestDirichletOracle:
+    @pytest.mark.parametrize("spacing", [(0.7, 1.3), (1.3, 0.7)])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_dense_oracle(self, order, spacing):
+        rng = np.random.default_rng(95 + order)
+        for m, n in ORACLE_SHAPES:
+            if min(m, n) < order + 1:
+                continue
+            g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)),
+                              hx=spacing[0], hy=spacing[1])
+            dx, dy = g.operators(order)
+            zb = rng.standard_normal((m, n))  # a frame and a nonzero interior
+            got = reconstruct(g, dx, dy, Dirichlet(zb)).heights
+            want = kron_dirichlet(g, dx, dy, zb)
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-10, (m, n, err)
 

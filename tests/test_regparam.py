@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    DimensionError, Factorization, Gls, GradientField, SpectralCache, Surface, Tikhonov,
-    build_cache, bump_surface, corner, default_bump_spec, default_lambda_grid,
-    evaluate, filter_factors, gradient_misfit, l_curve, reconstruct,
-    reconstruct_from_cache, tikhonov_coefficients,
+    DiffMatrix, DimensionError, Factorization, Gls, GradientField, SingularSystemError,
+    SpectralCache, Surface, Tikhonov, build_cache, bump_surface, corner, default_bump_spec,
+    default_lambda_grid, diff_matrix, evaluate, filter_factors, gradient_misfit, l_curve,
+    reconstruct, reconstruct_from_cache, tikhonov_coefficients,
 )
 from surfrec.simulate import NoiseSpec, add_noise, trial_seed
 
@@ -83,6 +83,20 @@ class TestBuildCache:
             build_cache(g, dy, dy)
         with pytest.raises(DimensionError, match="y operator"):
             build_cache(g, dx, dx)
+
+    def test_rank_deficient_operator_refused(self):
+        # an operator with a two-dimensional null space leaves the surface
+        # undetermined beyond its constant; the cache refuses it as the
+        # GLS reconstruction does
+        d = diff_matrix(6, 1.0, 2).entries
+        extra = np.arange(6.0) - 2.5
+        d = DiffMatrix(entries=d @ (np.eye(6) - np.outer(extra, extra) / (extra @ extra)),
+                       h=1.0, order=2)
+        rng = np.random.default_rng(45)
+        g = GradientField(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+        for call in (lambda: reconstruct(g, d, d, Gls()), lambda: build_cache(g, d, d)):
+            with pytest.raises(SingularSystemError, match="null space is larger than one"):
+                call()
 
     def test_zero_parameter_reproduces_gls(self):
         _, g, dx, dy = noisy_problem(seed=42)

@@ -102,6 +102,9 @@ class TestAddNoise:
             NoiseSpec("iid", -0.1)
         with pytest.raises(ValueError):
             NoiseSpec("outliers", 1.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="noise level"):
+                NoiseSpec("iid", bad)
 
 
 class TestOracle:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    DimensionError, GradientField, SingularSystemError, SylvesterSystem,
-    diff_matrix, solve_deflated, solve_full_rank, sym_sqrt, work_estimate,
+    Dirichlet, DimensionError, Gls, GradientField, LCurveTikhonov, SingularSystemError,
+    Spectral, SylvesterSystem, Tikhonov, Weighted, build_cache, cosine_basis, diff_matrix,
+    radial_covariance_set, solve, sym_sqrt, work_estimate,
 )
-from surfrec.sylvester import solve
+from surfrec.simulate import run_method
 
 
 def kron_sylvester_solve(p, q, c):
@@ -24,38 +25,42 @@ def kron_minnorm_lstsq(a, b, f, g):
     return sol.reshape((m, n), order="F")
 
 
+def system_for(a, b, c):
+    """A system without null vectors whose normal equations read
+    P X + X Q = C with P = A.T A and Q = B.T B (A of full column rank)."""
+    return SylvesterSystem(a=a, b=b, f=np.linalg.pinv(a.T) @ c,
+                           g=np.zeros((c.shape[0], b.shape[0])))
+
+
 class TestSolveFullRank:
     def test_diagonal_closed_form(self):
-        x = solve_full_rank(np.diag([2.0, 3.0]), np.diag([1.0, 4.0]), np.ones((2, 2)))
+        a = np.diag(np.sqrt([2.0, 3.0]))
+        b = np.diag([1.0, 2.0])
+        x = solve(system_for(a, b, np.ones((2, 2))))
         assert np.allclose(x, [[1 / 3, 1 / 6], [1 / 4, 1 / 7]], atol=1e-14)
 
     def test_identity_coefficients(self):
         c = np.arange(6.0).reshape(2, 3)
-        assert np.allclose(solve_full_rank(np.eye(2), np.eye(3), c), c / 2, atol=1e-14)
+        assert np.allclose(solve(system_for(np.eye(2), np.eye(3), c)), c / 2, atol=1e-14)
 
     @pytest.mark.parametrize("m,n,seed", [(6, 8, 0), (8, 6, 1), (7, 7, 2)])
     def test_matches_kronecker_oracle(self, m, n, seed):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m + 2, m))
-        b = rng.standard_normal((n + 1, n))
-        p = a.T @ a + 0.5 * np.eye(m)
-        q = b.T @ b + 0.5 * np.eye(n)
+        a = np.vstack([rng.standard_normal((m + 2, m)), np.sqrt(0.5) * np.eye(m)])
+        b = np.vstack([rng.standard_normal((n + 1, n)), np.sqrt(0.5) * np.eye(n)])
+        p = a.T @ a
+        q = b.T @ b
         c = rng.standard_normal((m, n))
-        x = solve_full_rank(p, q, c)
+        x = solve(system_for(a, b, c))
         want = kron_sylvester_solve(p, q, c)
         assert np.max(np.abs(x - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
         assert np.linalg.norm(p @ x + x @ q - c) <= 1e-8 * np.linalg.norm(c)
 
     def test_singular_pencil_rejected(self):
-        d = diff_matrix(6, 1.0, 2).entries
-        p = d.T @ d  # PSD with a null vector on both sides
-        with pytest.raises(SingularSystemError):
-            solve_full_rank(p, p, np.ones((6, 6)))
-
-    def test_asymmetric_rejected(self):
-        p = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            solve_full_rank(p, np.eye(2), np.ones((2, 2)))
+        d = diff_matrix(6, 1.0, 2).entries  # a null vector on both sides
+        system = SylvesterSystem(a=d, b=d.copy(), f=np.ones((6, 6)), g=np.ones((6, 6)))
+        with pytest.raises(SingularSystemError, match="smallest eigenvalue pair"):
+            solve(system)
 
 
 class TestSymSqrt:
@@ -122,14 +127,14 @@ class TestSolveDeflated:
         h = x[1] - x[0]
         g = GradientField(2 * xg, 2 * yg, h, h)
         dx, dy = g.operators(2)
-        phi = solve_deflated(gls_system(g, dx, dy))
+        phi = solve(gls_system(g, dx, dy))
         assert np.max(np.abs((phi - phi.mean()) - (z - z.mean()))) <= 1e-8
 
     def test_solution_is_mean_free(self):
         rng = np.random.default_rng(9)
         g = GradientField(rng.standard_normal((6, 8)), rng.standard_normal((6, 8)))
         dx, dy = g.operators(2)
-        phi = solve_deflated(gls_system(g, dx, dy))
+        phi = solve(gls_system(g, dx, dy))
         assert abs(np.ones(6) @ phi @ np.ones(8)) <= 1e-8 * 6 * 8 * np.max(np.abs(phi))
 
     def test_matches_minnorm_kronecker_oracle(self):
@@ -137,7 +142,7 @@ class TestSolveDeflated:
         g = GradientField(rng.standard_normal((6, 8)), rng.standard_normal((6, 8)))
         dx, dy = g.operators(2)
         system = gls_system(g, dx, dy)
-        phi = solve_deflated(system)
+        phi = solve(system)
         want = kron_minnorm_lstsq(system.a, system.b, system.f, system.g)
         # both paths pin the component along the null direction to zero
         assert np.max(np.abs(phi - want)) <= 1e-7
@@ -147,7 +152,7 @@ class TestSolveDeflated:
         g = GradientField(rng.standard_normal((9, 7)), rng.standard_normal((9, 7)))
         dx, dy = g.operators(4)
         system = gls_system(g, dx, dy)
-        phi = solve_deflated(system)
+        phi = solve(system)
         assert system.residual(phi) <= 1e-7 * np.linalg.norm(system.rhs())
 
     def test_null_direction_leaves_residual_unchanged(self):
@@ -155,7 +160,7 @@ class TestSolveDeflated:
         g = GradientField(rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
         dx, dy = g.operators(2)
         system = gls_system(g, dx, dy)
-        phi = solve_deflated(system)
+        phi = solve(system)
         shifted = phi + 3.7 * np.outer(system.u, system.v)
         assert abs(system.residual(phi) - system.residual(shifted)) <= 1e-9 * (
             1.0 + np.linalg.norm(system.rhs()))
@@ -166,7 +171,7 @@ class TestSolveDeflated:
         g = GradientField(rng.standard_normal((7, 9)), rng.standard_normal((7, 9)))
         dx, dy = g.operators(2)
         system = gls_system(g, dx, dy)
-        phi = solve_deflated(system)
+        phi = solve(system)
         scale = np.linalg.norm(system.f) ** 2 + np.linalg.norm(system.g) ** 2
         step = 1e-4 * max(1.0, np.max(np.abs(phi)))
         for _ in range(20):
@@ -177,17 +182,9 @@ class TestSolveDeflated:
             diff = (system.cost(phi + bump) - system.cost(phi - bump)) / (2 * step)
             assert abs(diff) <= 1e-5 * scale
 
-    def test_requires_null_vectors(self):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((5, 4))
-        system = SylvesterSystem(a=a, b=a.copy(), f=rng.standard_normal((5, 4)),
-                                 g=rng.standard_normal((4, 5)))
-        with pytest.raises(ValueError):
-            solve_deflated(system)
-
     def test_rank_deficient_block_detected(self):
         # an "operator" with a two-dimensional null space is not a proper
-        # differentiation matrix; deflation must refuse it
+        # differentiation matrix; the solve must refuse it
         d = diff_matrix(6, 1.0, 2).entries.copy()
         extra = np.arange(6.0) - 2.5
         d = d @ (np.eye(6) - np.outer(extra, extra) / (extra @ extra))
@@ -196,7 +193,7 @@ class TestSolveDeflated:
                                  g=rng.standard_normal((6, 6)),
                                  u=np.ones(6), v=np.ones(6))
         with pytest.raises(SingularSystemError):
-            solve_deflated(system)
+            solve(system)
 
 
 class TestSylvesterSystem:
@@ -274,3 +271,51 @@ class TestShift:
     def test_bad_shift_refused(self, bad):
         with pytest.raises(ValueError, match="shift"):
             self.shifted_system(42, bad)
+
+
+class TestOneFactorization:
+    """Every solve route factors its system exactly once: two eigh calls."""
+
+    @staticmethod
+    def count_eigh(monkeypatch, fn, *args):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *eigh_args, **kwargs):
+            calls.append(mat.shape)
+            return eigh(mat, *eigh_args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fn(*args)
+        return len(calls)
+
+    @pytest.mark.parametrize("name", [
+        "gls", "spectral", "spectral-band", "tikhonov-0", "tikhonov-2", "dirichlet",
+        "weighted-radial", "build_cache", "lcurve",
+    ])
+    def test_two_eigh_calls(self, monkeypatch, name):
+        rng = np.random.default_rng(50)
+        g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)),
+                          hx=0.7, hy=1.3)
+        dx, dy = g.operators(2)
+        by, bx = cosine_basis(12, 6), cosine_basis(16, 8)
+        specs = {
+            "gls": Gls(),
+            "spectral": Spectral(by, bx),
+            "spectral-band": Spectral(by.drop([0]), bx.drop([0])),
+            "tikhonov-0": Tikhonov(lam=0.3, mu=0.6),
+            "tikhonov-2": Tikhonov(lam=0.1, degree=2),
+            "dirichlet": Dirichlet(rng.standard_normal((12, 16))),
+            "weighted-radial": Weighted(radial_covariance_set(g)),
+            "lcurve": LCurveTikhonov(),
+        }
+        if name == "build_cache":
+            calls = self.count_eigh(monkeypatch, build_cache, g, dx, dy)
+        else:
+            calls = self.count_eigh(monkeypatch, run_method, g, dx, dy, specs[name])
+        assert calls == 2
+
+    def test_radial_covariances_need_no_eigh(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
+        assert self.count_eigh(monkeypatch, radial_covariance_set, g) == 0
