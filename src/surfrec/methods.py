@@ -221,26 +221,24 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     # the unknown is the deviation from z0, so the penalty rows carry no data
     f = g.zy - apply_dy(z0, dy)
     gx = g.zx - apply_dx(z0, dx)
+    a, b, shift = dy.entries, dx.entries, 0.0
     if k == 0:
-        # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil, and the
-        # shifted solution is mean free like the pinned one
-        system = SylvesterSystem(a=dy.entries, b=dx.entries, f=f, g=gx,
-                                 u=np.ones(g.m), v=np.ones(g.n), shift=lam * lam + mu * mu)
-        # with no penalty the cost fixes Z only up to a constant
-        offset = z0 - z0.mean() if lam == mu == 0.0 else z0
-        return system, lambda phi: phi + offset
-    # the smoothing operators D^k annihilate constants, so every row does
-    # and the surface comes back mean free
-    ly = dy.left_product(dy.entries) if k == 2 else dy.entries
-    lx = dx.left_product(dx.entries) if k == 2 else dx.entries
-    system = SylvesterSystem(
-        a=np.vstack([dy.entries, mu * ly]),
-        b=np.vstack([dx.entries, lam * lx]),
-        f=np.vstack([f, np.zeros_like(z0)]),
-        g=np.hstack([gx, np.zeros_like(z0)]),
-        u=np.ones(g.m), v=np.ones(g.n),
-    )
-    offset = z0 - z0.mean()
+        # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil
+        shift = lam * lam + mu * mu
+    elif k == 1:
+        # [D; lam D] has the normal equations of sqrt(1 + lam^2) D with the
+        # data divided by the same factor: the GLS blocks, rescaled
+        sy, sx = math.sqrt(1.0 + mu * mu), math.sqrt(1.0 + lam * lam)
+        a, b, f, gx = sy * a, sx * b, f / sy, gx / sx
+    else:
+        a = np.vstack([a, mu * dy.left_product(a)])
+        b = np.vstack([b, lam * dx.left_product(b)])
+        f = np.vstack([f, np.zeros_like(z0)])
+        gx = np.hstack([gx, np.zeros_like(z0)])
+    system = SylvesterSystem(a=a, b=b, f=f, g=gx, u=np.ones(g.m), v=np.ones(g.n), shift=shift)
+    # the shifted solution is mean free like the pinned one; without a shift
+    # the cost fixes Z only up to a constant, so the surface comes back mean free
+    offset = z0 if shift > 0 else z0 - z0.mean()
     return system, lambda phi: phi + offset
 
 
