@@ -90,11 +90,19 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
+def _require_points(args, least: int) -> None:
+    """Refuse an L-curve sweep size before any grid is read."""
+    if args.points < least:
+        raise ValueError(f"{args.command} needs --points of at least {least}, got {args.points}")
+
+
 def _cmd_tikhonov(args) -> int:
     if args.lcurve == (args.lam is not None):
         raise ValueError("give exactly one of --lambda or --lcurve")
     if args.lcurve and (args.mu is not None or args.degree != 0):
         raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
+    if args.lcurve:
+        _require_points(args, 5)
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     if args.lcurve:
@@ -134,6 +142,7 @@ def _write_csv_atomic(path, header, rows) -> None:
 
 
 def _cmd_lcurve(args) -> int:
+    _require_points(args, 2)
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     cache = regparam.build_cache(g, dx, dy)

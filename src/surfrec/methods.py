@@ -10,9 +10,10 @@ map from the solved parameter matrix back to a height grid:
   dirichlet  prescribed heights on the boundary frame; interior solved
   weighted   Mahalanobis-weighted least squares via symmetric square roots
 
-Degree-0 Tikhonov shares the GLS blocks and only shifts the pencil, and a
-diagonal covariance whitens by row and column scaling, so both cost one GLS
-solve.
+Degree-0 Tikhonov shares the GLS blocks and only shifts the pencil,
+degree-1 Tikhonov only rescales them, and a diagonal covariance whitens by
+row and column scaling, so each costs one GLS solve.  Only degree-2
+Tikhonov stacks penalty rows under the GLS blocks.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class Tikhonov:
     steepness, degree 2 its curvature; the smoothing operators are the
     corresponding powers of the differentiation matrices.  ``mu`` defaults
     to ``lam``.
+
+    Degree 1 penalizes the same first differences that the data fit, so with
+    lam = mu it is no smoother: it returns C + (Z_gls - C) / (1 + lam^2),
+    with C the reference less its mean, a uniform shrink of the GLS surface
+    toward the reference.  The L-curve sweep therefore stays at degree 0.
 
     ``reference`` is an a-priori surface Z0 (zero when omitted); the penalty
     acts on the deviation Z - Z0, which the solve returns and Z0 is added
@@ -218,7 +224,9 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     z0 = np.zeros((g.m, g.n)) if spec.reference is None else np.asarray(spec.reference, float)
     if z0.shape != (g.m, g.n):
         raise DimensionError(f"reference surface must be {g.m}x{g.n}, got {z0.shape}")
-    # the unknown is the deviation from z0, so the penalty rows carry no data
+    if spec.reference is not None and not np.isfinite(z0).all():
+        raise ValueError("reference surface contains non-finite values")
+    # the unknown is the deviation from z0, so the penalty carries no data
     f = g.zy - apply_dy(z0, dy)
     gx = g.zx - apply_dx(z0, dx)
     a, b, shift = dy.entries, dx.entries, 0.0
@@ -246,6 +254,8 @@ def _build_dirichlet(g, dx, dy, spec: Dirichlet):
     zb = np.asarray(spec.boundary, dtype=float)
     if zb.shape != (g.m, g.n):
         raise DimensionError(f"boundary grid must be {g.m}x{g.n}, got {zb.shape}")
+    if not np.isfinite(zb).all():
+        raise ValueError("boundary grid contains non-finite values")
     if g.m < 3 or g.n < 3:
         raise DimensionError("Dirichlet reconstruction needs an interior, so m, n >= 3")
     # interior selection realized by index slicing rather than explicit
@@ -307,10 +317,13 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     For Dirichlet, and for Tikhonov with a reference surface, the unknown
     is the deviation from the a-priori grid (the boundary grid or the
     reference): the data blocks hold the measured gradient minus the
-    gradient of that grid, and the Tikhonov penalty rows carry no data.
+    gradient of that grid, and the Tikhonov penalty carries no data.
     Degree-0 Tikhonov returns the GLS operators, unstacked, with
-    ``shift = lam^2 + mu^2``; degrees 1 and 2 stack the penalty rows under
-    them.
+    ``shift = lam^2 + mu^2``.  Degree 1 returns them rescaled,
+    ``sqrt(1 + mu^2) Dy`` and ``sqrt(1 + lam^2) Dx`` with the data divided
+    by the same factors; its ``cost`` is the stacked cost less the
+    Phi-independent constant mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.
+    Degree 2 stacks the penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.
     """
     return _build(g, dx, dy, spec)[0]
 

@@ -316,6 +316,10 @@ class LCurveTikhonov:
 
     points: int = 20
 
+    def __post_init__(self):
+        if self.points < 5:
+            raise ValueError(f"an L-curve corner needs at least 5 points, got {self.points}")
+
 
 def run_method(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
                spec: MethodSpec | LCurveTikhonov) -> Surface:

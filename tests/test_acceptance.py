@@ -103,7 +103,7 @@ def test_criterion_03_method_degeneracies():
 
 
 def test_criterion_04_dual_path_tikhonov():
-    # unit node spacing keeps the stacked route's rounding floor far below
+    # unit node spacing keeps the direct solve's rounding floor far below
     # the comparison tolerance even at the smallest parameter
     rng = np.random.default_rng(1004)
     g = GradientField(rng.standard_normal((24, 24)), rng.standard_normal((24, 24)))
@@ -112,8 +112,8 @@ def test_criterion_04_dual_path_tikhonov():
     worst = 0.0
     for lam in (1e-3, 1e-1, 1.0, 10.0):
         fast = reconstruct_from_cache(cache, lam).heights
-        stacked = reconstruct(g, dx, dy, Tikhonov(lam=lam)).heights
-        rel = np.linalg.norm(fast - stacked) / np.linalg.norm(stacked)
+        direct = reconstruct(g, dx, dy, Tikhonov(lam=lam)).heights
+        rel = np.linalg.norm(fast - direct) / np.linalg.norm(direct)
         worst = max(worst, float(rel))
     report(4, "dual-path penalized solves", worst <= 1e-8, f"(worst rel {worst:.2e})")
 

@@ -105,6 +105,41 @@ class TestLCurveCommand:
         assert len(lines) == 9
 
 
+class TestPointsRefusedUpFront:
+    """A sweep too small for its command fails before any grid is read."""
+
+    @pytest.mark.parametrize("command", [
+        ["tikhonov", "--lcurve", "--points", "4"],
+        ["tikhonov", "--lcurve", "--points", "0"],
+        ["lcurve", "--points", "1"],
+    ])
+    def test_no_solve_and_no_output(self, tmp_path, capsys, monkeypatch, command):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=86)
+        out = tmp_path / "out"
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        assert main([command[0], zx, zy, *command[1:], "--out", str(out)]) == 1
+        assert "surfrec: invalid argument: " in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["tikhonov", "--lcurve", "--points", "4"], ["lcurve", "--points", "1"],
+    ])
+    def test_refused_before_the_grids_are_read(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.g2s")
+        assert main([command[0], missing, missing, *command[1:],
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "surfrec: invalid argument: " in capsys.readouterr().err
+
+    def test_smallest_sizes_still_run(self, tmp_path):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=87)
+        assert main(["tikhonov", zx, zy, "--lcurve", "--points", "5",
+                     "--out", str(tmp_path / "z.g2s")]) == 0
+        assert main(["lcurve", zx, zy, "--points", "2",
+                     "--out", str(tmp_path / "l.csv")]) == 0
+
+
 class TestSimulateCommand:
     def test_metrics_csv_and_determinism(self, tmp_path):
         args = ["simulate", "--rows", "16", "--cols", "16", "--trials", "2",

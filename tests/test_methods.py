@@ -3,8 +3,8 @@ import pytest
 
 from surfrec import (
     CovarianceSet, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
-    Spectral, Tikhonov, Weighted, apply_dx, apply_dy, assemble, cosine_basis,
-    gradient_misfit, gram_basis, make_basis, reconstruct, sym_sqrt,
+    Spectral, SylvesterSystem, Tikhonov, Weighted, apply_dx, apply_dy, assemble,
+    cosine_basis, gradient_misfit, gram_basis, make_basis, reconstruct, solve, sym_sqrt,
 )
 from surfrec.simulate import ORACLE_MAX_CELLS
 
@@ -152,6 +152,34 @@ class TestAssemble:
         assert assemble(g, dx, dy, Gls()).shift == 0.0
         assert assemble(g, dx, dy, Tikhonov(lam=0.5, degree=2)).shift == 0.0
 
+    def test_degree_one_tikhonov_is_rescaled_gls(self):
+        g, dx, dy = noisy_problem(order=4)
+        rng = np.random.default_rng(22)
+        for lam, mu in ((0.5, 0.5), (0.8, 0.2), (0.6, 0.0), (0.0, 0.0)):
+            system = assemble(g, dx, dy, Tikhonov(lam=lam, mu=mu, degree=1))
+            sy, sx = np.sqrt(1.0 + mu * mu), np.sqrt(1.0 + lam * lam)
+            assert system.a.shape == (g.m, g.m) and system.b.shape == (g.n, g.n)
+            assert np.array_equal(system.a, sy * dy.entries)
+            assert np.array_equal(system.b, sx * dx.entries)
+            assert np.array_equal(system.f, g.zy / sy) and np.array_equal(system.g, g.zx / sx)
+            assert system.shift == 0.0
+            # parity with the stacked [D; lam D] system: the same solution,
+            # and a cost that differs by a constant
+            stacked = SylvesterSystem(
+                a=np.vstack([dy.entries, mu * dy.entries]),
+                b=np.vstack([dx.entries, lam * dx.entries]),
+                f=np.vstack([g.zy, np.zeros((g.m, g.n))]),
+                g=np.hstack([g.zx, np.zeros((g.m, g.n))]),
+                u=np.ones(g.m), v=np.ones(g.n),
+            )
+            want = solve(stacked)
+            assert np.linalg.norm(solve(system) - want) <= 1e-12 * np.linalg.norm(want)
+            const = (mu * mu / (1 + mu * mu) * np.linalg.norm(g.zy) ** 2
+                     + lam * lam / (1 + lam * lam) * np.linalg.norm(g.zx) ** 2)
+            for phi in (want, rng.standard_normal((g.m, g.n))):
+                gap = stacked.cost(phi) - system.cost(phi)
+                assert abs(gap - const) <= 1e-12 * stacked.cost(phi)
+
     def test_degenerate_stacked_penalty_solves_like_gls(self):
         g, dx, dy = noisy_problem()
         z_pen = reconstruct(g, dx, dy, Tikhonov(lam=0.0, degree=1))
@@ -285,6 +313,23 @@ class TestReconstruct:
         z = reconstruct(g, dx, dy, Weighted(cov)).heights
         w_mean = np.ones(g.m) @ np.linalg.solve(cov.xy, z) @ np.linalg.solve(cov.yx, np.ones(g.n))
         assert abs(w_mean) <= 1e-7 * g.m * g.n * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_equal_degree_one_parameters_shrink_gls_toward_reference(self, with_reference):
+        g, dx, dy = noisy_problem(m=11, n=13, seed=42, order=4)
+        rng = np.random.default_rng(43)
+        z0 = 3.0 + rng.standard_normal((g.m, g.n)) if with_reference else np.zeros((g.m, g.n))
+        c = z0 - z0.mean()
+        z_gls = reconstruct(g, dx, dy, Gls()).heights
+        for lam in (0.3, 1.0, 4.0):
+            spec = Tikhonov(lam=lam, degree=1, reference=z0 if with_reference else None)
+            got = reconstruct(g, dx, dy, spec).heights
+            want = c + (z_gls - c) / (1 + lam * lam)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), lam
+            # parity with the dense oracle of the stacked cost
+            oracle = kron_tikhonov_minnorm(g, dx, dy, Tikhonov(lam=lam, degree=1, reference=z0))
+            oracle -= oracle.mean()
+            assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle), lam
 
     def test_degree_k_solution_is_mean_free(self):
         g, dx, dy = noisy_problem(seed=36)
@@ -463,3 +508,23 @@ class TestTikhonovReference:
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):
             reconstruct(g, dx, dy, Tikhonov(lam=1.0, reference=np.zeros((g.m, g.n + 1))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_non_finite_reference_refused(self, degree, bad):
+        g, dx, dy = noisy_problem()
+        z0 = np.ones((g.m, g.n))
+        z0[2, 3] = bad
+        with pytest.raises(ValueError, match="reference surface contains non-finite values"):
+            assemble(g, dx, dy, Tikhonov(lam=0.5, degree=degree, reference=z0))
+
+
+class TestDirichletBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (4, 5)])  # on the frame, in the interior
+    def test_non_finite_boundary_refused(self, cell, bad):
+        g, dx, dy = noisy_problem()
+        zb = np.zeros((g.m, g.n))
+        zb[cell] = bad
+        with pytest.raises(ValueError, match="boundary grid contains non-finite values"):
+            reconstruct(g, dx, dy, Dirichlet(zb))

@@ -328,6 +328,24 @@ class TestBoundaryFrame:
         assert np.all(frame[1:-1, 1:-1] == 0)
 
 
+class TestLCurveTikhonov:
+    @pytest.mark.parametrize("points", [4, 1, 0, -3])
+    def test_too_few_points_refused_before_any_solve(self, monkeypatch, points):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        with pytest.raises(ValueError, match="at least 5 points"):
+            LCurveTikhonov(points=points)
+        assert calls == []
+
+    def test_five_points_run(self):
+        rng = np.random.default_rng(12)
+        g = GradientField(rng.standard_normal((10, 12)), rng.standard_normal((10, 12)))
+        dx, dy = g.operators(2)
+        z = simulate.run_method(g, dx, dy, LCurveTikhonov(points=5))
+        assert z.heights.shape == (10, 12) and np.all(np.isfinite(z.heights))
+
+
 class TestMonteCarlo:
     def test_deterministic_tables(self):
         methods = [("gls", Gls()), ("tik", Tikhonov(lam=0.5))]

@@ -290,7 +290,7 @@ class TestOneFactorization:
         return len(calls)
 
     @pytest.mark.parametrize("name", [
-        "gls", "spectral", "spectral-band", "tikhonov-0", "tikhonov-2", "dirichlet",
+        "gls", "spectral", "spectral-band", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet",
         "weighted-radial", "build_cache", "lcurve",
     ])
     def test_two_eigh_calls(self, monkeypatch, name):
@@ -304,6 +304,7 @@ class TestOneFactorization:
             "spectral": Spectral(by, bx),
             "spectral-band": Spectral(by.drop([0]), bx.drop([0])),
             "tikhonov-0": Tikhonov(lam=0.3, mu=0.6),
+            "tikhonov-1": Tikhonov(lam=0.3, mu=0.6, degree=1),
             "tikhonov-2": Tikhonov(lam=0.1, degree=2),
             "dirichlet": Dirichlet(rng.standard_normal((12, 16))),
             "weighted-radial": Weighted(radial_covariance_set(g)),
