@@ -18,11 +18,12 @@ from .methods import (
     assemble, gradient_misfit, reconstruct,
 )
 from .regparam import (
-    SpectralCache, build_cache, corner, default_lambda_grid, filter_factors,
-    l_curve, reconstruct_from_cache, tikhonov_coefficients,
+    LCurveTikhonov, SpectralCache, build_cache, corner, default_lambda_grid,
+    filter_factors, l_curve, lcurve_reconstruct, reconstruct_from_cache,
+    tikhonov_coefficients,
 )
 from .simulate import (
-    BumpSurfaceSpec, GaussianBump, LCurveTikhonov, MonteCarloResult, NoiseSpec,
+    BumpSurfaceSpec, GaussianBump, MonteCarloResult, NoiseSpec,
     TrialMetrics, add_noise, boundary_frame, bump_surface, default_bump_spec,
     evaluate, monte_carlo, oracle_gls, radial_covariance_set,
 )
@@ -41,7 +42,7 @@ __all__ = [
     "add_noise", "apply_dx", "apply_dy", "assemble", "boundary_frame", "bump_surface",
     "build_cache", "corner", "cosine_basis", "default_bump_spec", "default_lambda_grid",
     "diff_matrix", "evaluate", "filter_factors", "gradient_misfit", "gram_basis",
-    "haar_basis", "l_curve", "make_basis", "monte_carlo", "oracle_gls",
+    "haar_basis", "l_curve", "lcurve_reconstruct", "make_basis", "monte_carlo", "oracle_gls",
     "radial_covariance_set", "read_grid", "reconstruct", "reconstruct_from_cache",
     "solve", "sym_sqrt", "tikhonov_coefficients",
     "work_estimate", "write_grid",

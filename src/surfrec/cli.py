@@ -90,26 +90,16 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
-def _require_points(args, least: int) -> None:
-    """Refuse an L-curve sweep size before any grid is read."""
-    if args.points < least:
-        raise ValueError(f"{args.command} needs --points of at least {least}, got {args.points}")
-
-
 def _cmd_tikhonov(args) -> int:
     if args.lcurve == (args.lam is not None):
         raise ValueError("give exactly one of --lambda or --lcurve")
     if args.lcurve and (args.mu is not None or args.degree != 0):
         raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
-    if args.lcurve:
-        _require_points(args, 5)
+    lcurve = regparam.LCurveTikhonov(args.points) if args.lcurve else None
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
-    if args.lcurve:
-        cache = regparam.build_cache(g, dx, dy)
-        grid = regparam.default_lambda_grid(cache, args.points)
-        lam = regparam.corner(regparam.l_curve(cache, grid))
-        z = regparam.reconstruct_from_cache(cache, lam)
+    if lcurve is not None:
+        lam, z = regparam.lcurve_reconstruct(g, dx, dy, lcurve)
         print(f"lambda {lam:.17e}")
     else:
         z = reconstruct(g, dx, dy, Tikhonov(lam=args.lam, mu=args.mu, degree=args.degree))
@@ -142,7 +132,8 @@ def _write_csv_atomic(path, header, rows) -> None:
 
 
 def _cmd_lcurve(args) -> int:
-    _require_points(args, 2)
+    if args.points < 2:  # refused before any grid is read
+        raise ValueError(f"lcurve needs --points of at least 2, got {args.points}")
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     cache = regparam.build_cache(g, dx, dy)
@@ -180,7 +171,7 @@ def _cmd_simulate(args) -> int:
             basis_y=make_basis(args.basis, m, math.ceil(m / 2)),
             basis_x=make_basis(args.basis, n, math.ceil(n / 2)),
         )),
-        ("tikhonov_lcurve", simulate.LCurveTikhonov()),
+        ("tikhonov_lcurve", regparam.LCurveTikhonov()),
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
@@ -210,7 +201,7 @@ def _bench_spec(name: str, g: GradientField):
     if name == "weighted":
         return Weighted(covariance=CovarianceSet.identity(m, n))
     if name == "tikhonov_lcurve":
-        return simulate.LCurveTikhonov()
+        return regparam.LCurveTikhonov()
     raise ValueError(f"unknown bench method {name!r}")
 
 

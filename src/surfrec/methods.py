@@ -219,16 +219,22 @@ def _build_spectral(g, dx, dy, spec: Spectral):
     return system, lambda coeff: by.entries @ coeff @ bx.entries.T
 
 
+def _a_priori(g, dx, dy, grid, name: str):
+    """(z0, Zy - Dy z0, Zx - z0 Dx.T) for an a-priori grid z0 that the unknown
+    deviates from, so a penalty carries no data; (None, Zy, Zx) uncopied without one."""
+    if grid is None:
+        return None, g.zy, g.zx
+    z0 = np.asarray(grid, dtype=float)
+    if z0.shape != (g.m, g.n):
+        raise DimensionError(f"{name} must be {g.m}x{g.n}, got {z0.shape}")
+    if not np.isfinite(z0).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return z0, g.zy - apply_dy(z0, dy), g.zx - apply_dx(z0, dx)
+
+
 def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     lam, mu, k = spec.lam, spec.mu_value, spec.degree
-    z0 = np.zeros((g.m, g.n)) if spec.reference is None else np.asarray(spec.reference, float)
-    if z0.shape != (g.m, g.n):
-        raise DimensionError(f"reference surface must be {g.m}x{g.n}, got {z0.shape}")
-    if spec.reference is not None and not np.isfinite(z0).all():
-        raise ValueError("reference surface contains non-finite values")
-    # the unknown is the deviation from z0, so the penalty carries no data
-    f = g.zy - apply_dy(z0, dy)
-    gx = g.zx - apply_dx(z0, dx)
+    z0, f, gx = _a_priori(g, dx, dy, spec.reference, "reference surface")
     a, b, shift = dy.entries, dx.entries, 0.0
     if k == 0:
         # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil
@@ -241,9 +247,11 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     else:
         a = np.vstack([a, mu * dy.left_product(a)])
         b = np.vstack([b, lam * dx.left_product(b)])
-        f = np.vstack([f, np.zeros_like(z0)])
-        gx = np.hstack([gx, np.zeros_like(z0)])
+        f = np.vstack([f, np.zeros_like(f)])
+        gx = np.hstack([gx, np.zeros_like(gx)])
     system = SylvesterSystem(a=a, b=b, f=f, g=gx, u=np.ones(g.m), v=np.ones(g.n), shift=shift)
+    if z0 is None:
+        return system, lambda phi: phi
     # the shifted solution is mean free like the pinned one; without a shift
     # the cost fixes Z only up to a constant, so the surface comes back mean free
     offset = z0 if shift > 0 else z0 - z0.mean()
@@ -251,21 +259,13 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
 
 
 def _build_dirichlet(g, dx, dy, spec: Dirichlet):
-    zb = np.asarray(spec.boundary, dtype=float)
-    if zb.shape != (g.m, g.n):
-        raise DimensionError(f"boundary grid must be {g.m}x{g.n}, got {zb.shape}")
-    if not np.isfinite(zb).all():
-        raise ValueError("boundary grid contains non-finite values")
     if g.m < 3 or g.n < 3:
         raise DimensionError("Dirichlet reconstruction needs an interior, so m, n >= 3")
+    zb, f, gx = _a_priori(g, dx, dy, spec.boundary, "boundary grid")
     # interior selection realized by index slicing rather than explicit
     # permutation matrices
-    system = SylvesterSystem(
-        a=dy.entries[:, 1:-1],
-        b=dx.entries[:, 1:-1],
-        f=(g.zy - apply_dy(zb, dy))[:, 1:-1],
-        g=(g.zx - apply_dx(zb, dx))[1:-1, :],
-    )
+    system = SylvesterSystem(a=dy.entries[:, 1:-1], b=dx.entries[:, 1:-1],
+                             f=f[:, 1:-1], g=gx[1:-1, :])
 
     def embed(interior):
         z = zb.copy()

@@ -176,3 +176,24 @@ def corner(points) -> float:
     if np.max(curv) * max(diameter, 1e-300) <= 1e-8:
         return float(lams[0])
     return float(lams[int(np.argmax(curv))])
+
+
+
+@dataclass(frozen=True)
+class LCurveTikhonov:
+    """Standard-form penalty with the parameter chosen at the corner of an
+    L-curve sweep over ``points`` parameters."""
+
+    points: int = 20
+
+    def __post_init__(self):
+        if self.points < 5:
+            raise ValueError(f"an L-curve corner needs at least 5 points, got {self.points}")
+
+
+def lcurve_reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
+                       spec: LCurveTikhonov) -> tuple[float, Surface]:
+    """(lam, surface) of degree-0 Tikhonov at the L-curve corner, from one factorization."""
+    cache = build_cache(g, dx, dy)
+    lam = corner(l_curve(cache, default_lambda_grid(cache, spec.points)))
+    return lam, reconstruct_from_cache(cache, lam)

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import regparam
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError, SizeGuardError
 from .methods import CovarianceSet, MethodSpec, gradient_misfit, reconstruct
+from .regparam import LCurveTikhonov, lcurve_reconstruct
 
 ORACLE_MAX_CELLS = 4096
 
@@ -309,26 +309,11 @@ def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
     return TrialMetrics(cost_residual=float(cost), rel_error=rel, ks_statistic=ks)
 
 
-@dataclass(frozen=True)
-class LCurveTikhonov:
-    """Standard-form penalty with the parameter chosen per trial at the
-    corner of an L-curve sweep."""
-
-    points: int = 20
-
-    def __post_init__(self):
-        if self.points < 5:
-            raise ValueError(f"an L-curve corner needs at least 5 points, got {self.points}")
-
-
 def run_method(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
                spec: MethodSpec | LCurveTikhonov) -> Surface:
-    """Reconstruct with a static method spec or a per-trial L-curve sweep."""
+    """Reconstruct with a static method spec, or an L-curve one by ``lcurve_reconstruct``."""
     if isinstance(spec, LCurveTikhonov):
-        cache = regparam.build_cache(g, dx, dy)
-        grid = regparam.default_lambda_grid(cache, spec.points)
-        lam = regparam.corner(regparam.l_curve(cache, grid))
-        return regparam.reconstruct_from_cache(cache, lam)
+        return lcurve_reconstruct(g, dx, dy, spec)[1]
     return reconstruct(g, dx, dy, spec)
 
 
