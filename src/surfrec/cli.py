@@ -95,6 +95,7 @@ def _cmd_tikhonov(args) -> int:
         raise ValueError("give exactly one of --lambda or --lcurve")
     if args.lcurve and (args.mu is not None or args.degree != 0):
         raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
+    # built before any grid is read, so a bad --points fails first
     lcurve = regparam.LCurveTikhonov(args.points) if args.lcurve else None
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
@@ -157,14 +158,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--levels needs at least one noise level")
     for level in levels:  # refuse a bad level before any trial runs
         simulate.NoiseSpec(_NOISE_FLAGS[args.noise], level)
-    if args.dump:
-        # the dump depends only on the flags and the true surface, so a bad
-        # prefix fails before the trials run and no metrics file is left
-        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
-            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
-        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
+    if args.trials < 1:
+        raise ValueError(f"--trials needs at least one trial, got {args.trials}")
     methods = [
         ("gls", Gls()),
         ("spectral_half", Spectral(
@@ -175,6 +170,15 @@ def _cmd_simulate(args) -> int:
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
+    g_true.operators(args.order)  # refuse a grid too small for the stencil
+    if args.dump:
+        # every flag is checked above, so a refused run writes no dump; a bad
+        # prefix fails before the trials run and no metrics file is left
+        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
+            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
+        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
     noise = simulate.NoiseSpec(_NOISE_FLAGS[args.noise], max(levels), args.seed)
     result = simulate.monte_carlo(
         methods, noise, levels, args.trials, args.seed,

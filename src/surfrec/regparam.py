@@ -7,6 +7,10 @@ coefficient matrices D_y.T D_y and D_x.T D_x once
 regularized solve into an elementwise formula over the transformed
 right-hand side; a whole sweep of regularization parameters (an L-curve)
 costs little more than the two symmetric eigendecompositions.
+
+:func:`lcurve_reconstruct` is the one route from a gradient to the
+parameter at the L-curve corner and its surface; the Monte-Carlo harness
+(``simulate.run_method``) and ``surfrec tikhonov --lcurve`` both take it.
 """
 
 from __future__ import annotations
@@ -187,13 +191,21 @@ class LCurveTikhonov:
     points: int = 20
 
     def __post_init__(self):
-        if self.points < 5:
-            raise ValueError(f"an L-curve corner needs at least 5 points, got {self.points}")
+        # a float count would only fail inside the sweep, after the factorization
+        if not isinstance(self.points, (int, np.integer)) or self.points < 5:
+            raise ValueError(
+                f"an L-curve corner needs a whole number of at least 5 points, got {self.points}"
+            )
 
 
 def lcurve_reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
                        spec: LCurveTikhonov) -> tuple[float, Surface]:
-    """(lam, surface) of degree-0 Tikhonov at the L-curve corner, from one factorization."""
+    """(lam, surface) of degree-0 Tikhonov at the L-curve corner.
+
+    The only code that chains :func:`build_cache`, :func:`default_lambda_grid`,
+    :func:`l_curve`, :func:`corner` and :func:`reconstruct_from_cache`: one
+    factorization serves the sweep, the pick and the surface.
+    """
     cache = build_cache(g, dx, dy)
     lam = corner(l_curve(cache, default_lambda_grid(cache, spec.points)))
     return lam, reconstruct_from_cache(cache, lam)

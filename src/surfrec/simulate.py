@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regparam
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError, SizeGuardError
 from .methods import CovarianceSet, MethodSpec, gradient_misfit, reconstruct
-from .regparam import LCurveTikhonov, lcurve_reconstruct
+from .regparam import LCurveTikhonov
 
 ORACLE_MAX_CELLS = 4096
 
@@ -311,9 +312,10 @@ def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
 
 def run_method(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
                spec: MethodSpec | LCurveTikhonov) -> Surface:
-    """Reconstruct with a static method spec, or an L-curve one by ``lcurve_reconstruct``."""
+    """Reconstruct with a static method spec, or with an L-curve spec by
+    :func:`~surfrec.regparam.lcurve_reconstruct`, the one L-curve route."""
     if isinstance(spec, LCurveTikhonov):
-        return lcurve_reconstruct(g, dx, dy, spec)[1]
+        return regparam.lcurve_reconstruct(g, dx, dy, spec)[1]
     return reconstruct(g, dx, dy, spec)
 
 

@@ -171,6 +171,21 @@ class TestSimulateCommand:
         cost = printed_cost(capsys)
         assert cost <= 1e-3
 
+    @pytest.mark.parametrize("flags,label", [
+        (["--trials", "0", "--rows", "16", "--cols", "16"], "invalid argument"),
+        (["--trials", "1", "--rows", "20", "--cols", "16", "--basis", "haar"], "invalid argument"),
+        (["--trials", "1", "--rows", "4", "--cols", "16", "--order", "4"], "dimension error"),
+    ], ids=["no-trials", "haar-not-power-of-two", "grid-below-stencil"])
+    def test_refused_run_leaves_no_dump(self, tmp_path, capsys, flags, label):
+        out = tmp_path / "m.csv"
+        prefix = tmp_path / "dump"
+        assert main(["simulate", *flags, "--levels", "0.1",
+                     "--out", str(out), "--dump", str(prefix)]) == 1
+        assert f"surfrec: {label}: " in capsys.readouterr().err
+        for name in ("zx", "zy", "ztrue"):
+            assert not (tmp_path / f"dump_{name}.g2s").exists()
+        assert not out.exists()
+
 
 class TestBench:
     def test_rows_and_csv(self, tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,6 +17,18 @@ def test_every_exported_name_resolves():
 
 def test_exports_have_no_duplicates():
     assert len(surfrec.__all__) == len(set(surfrec.__all__))
+
+
+def test_every_benchmark_hook_resolves():
+    # the benchmark times the layers the library calls internally by wrapping
+    # these module attributes; a refactor that drops one unhooks a layer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{attr}" for mod, attr, _ in spans.HOOKS
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert spans.HOOKS and missing == []
 
 
 @pytest.mark.parametrize("module", ["surfrec", "surfrec.cli"])

@@ -504,6 +504,11 @@ class TestTikhonovReference:
                                                    reference=np.zeros((g.m, g.n))))
             assert np.array_equal(plain.heights, zero.heights)
 
+    def test_no_reference_passes_the_data_uncopied(self):
+        g, dx, dy = noisy_problem()
+        system = assemble(g, dx, dy, Tikhonov(lam=0.7, mu=0.3))
+        assert system.f is g.zy and system.g is g.zx
+
     def test_reference_shape_mismatch(self):
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):

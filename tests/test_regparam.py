@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    DiffMatrix, DimensionError, Factorization, Gls, GradientField, SingularSystemError,
-    SpectralCache, Surface, Tikhonov, build_cache, bump_surface, corner, default_bump_spec,
-    default_lambda_grid, diff_matrix, evaluate, filter_factors, gradient_misfit, l_curve,
-    reconstruct, reconstruct_from_cache, tikhonov_coefficients,
+    DiffMatrix, DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
+    SingularSystemError, SpectralCache, Surface, Tikhonov, build_cache, bump_surface, corner,
+    default_bump_spec, default_lambda_grid, diff_matrix, evaluate, filter_factors,
+    gradient_misfit, l_curve, lcurve_reconstruct, read_grid, reconstruct,
+    reconstruct_from_cache, regparam, tikhonov_coefficients, write_grid,
 )
-from surfrec.simulate import NoiseSpec, add_noise, trial_seed
+from surfrec.cli import main
+from surfrec.simulate import NoiseSpec, add_noise, run_method, trial_seed
 
 
 def noisy_problem(m=16, n=20, seed=41, level=0.2, order=2):
@@ -312,8 +314,9 @@ class TestPathEquivalence:
 
     @pytest.mark.parametrize("lam", [1e-3, 1e-1, 1.0, 10.0])
     def test_cache_path_matches_stacked_path(self, lam):
-        # unit node spacing keeps the stacked route's normal-equation
-        # rounding floor well inside the comparison tolerance at tiny lam
+        # both routes divide through the one factorization; only solve
+        # projects out the null pair, and at unit node spacing the rounding
+        # that projection removes stays well inside the tolerance at tiny lam
         rng = np.random.default_rng(50)
         g = GradientField(rng.standard_normal((18, 18)), rng.standard_normal((18, 18)))
         dx, dy = g.operators(2)
@@ -330,3 +333,50 @@ class TestPathEquivalence:
         z0 = reconstruct_from_cache(cache, 0.0).heights
         z_eps = reconstruct_from_cache(cache, 1e-12).heights
         assert np.linalg.norm(z_eps - z0) <= 1e-9 * max(np.linalg.norm(z0), 1.0)
+
+
+def gradient_files(tmp_path, g):
+    zx, zy = tmp_path / "zx.g2s", tmp_path / "zy.g2s"
+    write_grid(zx, g.zx, g.hx, g.hy)
+    write_grid(zy, g.zy, g.hx, g.hy)
+    return str(zx), str(zy)
+
+
+class TestLCurveRoute:
+    """lcurve_reconstruct is the one L-curve route every caller takes."""
+
+    STEPS = ("lcurve_reconstruct", "build_cache", "default_lambda_grid", "l_curve", "corner",
+             "reconstruct_from_cache")
+
+    @pytest.mark.parametrize("points", [5, 7, 20])
+    def test_callers_match_the_explicit_recipe(self, tmp_path, capsys, points):
+        _, g, dx, dy = noisy_problem(seed=53, order=4)
+        cache = build_cache(g, dx, dy)
+        lam_want = corner(l_curve(cache, default_lambda_grid(cache, points)))
+        z_want = reconstruct_from_cache(cache, lam_want).heights
+        lam, z = lcurve_reconstruct(g, dx, dy, LCurveTikhonov(points))
+        assert lam == lam_want and np.array_equal(z.heights, z_want)
+        assert np.array_equal(run_method(g, dx, dy, LCurveTikhonov(points)).heights, z_want)
+        zx, zy = gradient_files(tmp_path, g)
+        out = tmp_path / "z.g2s"
+        assert main(["tikhonov", zx, zy, "--lcurve", "--points", str(points), "--order", "4",
+                     "--out", str(out)]) == 0
+        assert f"lambda {lam_want:.17e}\n" in capsys.readouterr().out
+        assert np.array_equal(read_grid(out).values, z_want)
+
+    @pytest.mark.parametrize("caller", ["run_method", "cli"])
+    def test_each_step_runs_once(self, tmp_path, monkeypatch, caller):
+        # the steps are looked up on the module, where the benchmark hooks them
+        calls = []
+        for name in self.STEPS:
+            fn = getattr(regparam, name)
+            monkeypatch.setattr(regparam, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        _, g, dx, dy = noisy_problem(seed=54)
+        if caller == "run_method":
+            run_method(g, dx, dy, LCurveTikhonov(7))
+        else:
+            zx, zy = gradient_files(tmp_path, g)
+            assert main(["tikhonov", zx, zy, "--lcurve", "--points", "7",
+                         "--out", str(tmp_path / "z.g2s")]) == 0
+        assert calls == list(self.STEPS)

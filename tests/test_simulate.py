@@ -329,7 +329,7 @@ class TestBoundaryFrame:
 
 
 class TestLCurveTikhonov:
-    @pytest.mark.parametrize("points", [4, 1, 0, -3])
+    @pytest.mark.parametrize("points", [4, 1, 0, -3, 20.0, 7.5])
     def test_too_few_points_refused_before_any_solve(self, monkeypatch, points):
         calls = []
         eigh = np.linalg.eigh
@@ -337,6 +337,9 @@ class TestLCurveTikhonov:
         with pytest.raises(ValueError, match="at least 5 points"):
             LCurveTikhonov(points=points)
         assert calls == []
+
+    def test_numpy_integer_count_accepted(self):
+        assert LCurveTikhonov(points=np.int64(5)).points == 5
 
     def test_five_points_run(self):
         rng = np.random.default_rng(12)
