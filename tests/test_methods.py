@@ -525,6 +525,11 @@ class TestTikhonovReference:
 
 
 class TestDirichletBoundary:
+    def test_missing_boundary_refused(self):
+        g, dx, dy = noisy_problem()
+        with pytest.raises(DimensionError, match="boundary grid must be"):
+            reconstruct(g, dx, dy, Dirichlet(None))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("cell", [(0, 0), (4, 5)])  # on the frame, in the interior
     def test_non_finite_boundary_refused(self, cell, bad):

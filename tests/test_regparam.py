@@ -369,9 +369,10 @@ class TestLCurveRoute:
         # the steps are looked up on the module, where the benchmark hooks them
         calls = []
         for name in self.STEPS:
-            fn = getattr(regparam, name)
-            monkeypatch.setattr(regparam, name,
-                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+            def counted(*args, _fn=getattr(regparam, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(regparam, name, counted)
         _, g, dx, dy = noisy_problem(seed=54)
         if caller == "run_method":
             run_method(g, dx, dy, LCurveTikhonov(7))
