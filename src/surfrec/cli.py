@@ -158,8 +158,6 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--levels needs at least one noise level")
     for level in levels:  # refuse a bad level before any trial runs
         simulate.NoiseSpec(_NOISE_FLAGS[args.noise], level)
-    if args.trials < 1:
-        raise ValueError(f"--trials needs at least one trial, got {args.trials}")
     methods = [
         ("gls", Gls()),
         ("spectral_half", Spectral(
@@ -170,20 +168,19 @@ def _cmd_simulate(args) -> int:
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
-    g_true.operators(args.order)  # refuse a grid too small for the stencil
-    if args.dump:
-        # every flag is checked above, so a refused run writes no dump; a bad
-        # prefix fails before the trials run and no metrics file is left
-        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
-            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
-        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
-        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
     noise = simulate.NoiseSpec(_NOISE_FLAGS[args.noise], max(levels), args.seed)
     result = simulate.monte_carlo(
         methods, noise, levels, args.trials, args.seed,
         surface_spec=spec, order=args.order,
     )
+    if args.dump:
+        # written after monte_carlo, which refuses a bad trial count or order,
+        # and before the metrics, so a bad prefix leaves no metrics file
+        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
+            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
+        write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
+        write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
     atomic_write(args.out, result.to_csv().encode())
     return 0
 

@@ -261,8 +261,9 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
 def _build_dirichlet(g, dx, dy, spec: Dirichlet):
     if g.m < 3 or g.n < 3:
         raise DimensionError("Dirichlet reconstruction needs an interior, so m, n >= 3")
-    # a boundary is required: as an array, a missing one fails the shape check
-    zb, f, gx = _a_priori(g, dx, dy, np.asarray(spec.boundary, dtype=float), "boundary grid")
+    if spec.boundary is None:
+        raise DimensionError("Dirichlet reconstruction needs a boundary grid")
+    zb, f, gx = _a_priori(g, dx, dy, spec.boundary, "boundary grid")
     # interior selection realized by index slicing rather than explicit
     # permutation matrices
     system = SylvesterSystem(a=dy.entries[:, 1:-1], b=dx.entries[:, 1:-1],

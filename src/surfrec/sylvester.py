@@ -204,32 +204,6 @@ class SylvesterSystem:
         )
 
 
-def _gram_eigh(mat: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigendecomposition of a Gram matrix X.T X (plus a diagonal
-    shift) of an X with ``rows`` rows, in one ``eigh`` call.
-
-    A spectral coefficient of a parity basis (cosine: J b_k = (-1)^k b_k,
-    which the stencils keep, J D J = -D) is an even-size checkerboard: its
-    entries linking even to odd indices vanish but for rounding.  When they
-    all lie within the rounding bound of forming the product, rows * eps
-    times the largest diagonal entry (which bounds every entry), the two
-    parity blocks are diagonalized as one half-size batch and merged.
-    """
-    k = mat.shape[0]
-    if k == 0 or k % 2:
-        return np.linalg.eigh(mat)
-    bound = rows * np.finfo(float).eps * np.max(np.diagonal(mat))
-    if np.max(np.abs(mat[0::2, 1::2])) > bound:
-        return np.linalg.eigh(mat)
-    lam, vec = np.linalg.eigh(np.stack([mat[0::2, 0::2], mat[1::2, 1::2]]))
-    half = k // 2
-    evecs = np.zeros((k, k))
-    evecs[0::2, :half] = vec[0]
-    evecs[1::2, half:] = vec[1]
-    order = np.argsort(lam.ravel(), kind="stable")
-    return lam.ravel()[order], evecs[:, order]
-
-
 def factor(system: SylvesterSystem) -> Factorization:
     """Eigendecompositions of the system's coefficients A.T A and B.T B.
 
@@ -245,8 +219,8 @@ def factor(system: SylvesterSystem) -> Factorization:
     p = a.T @ a
     if system.u is None:
         p.flat[:: p.shape[0] + 1] += system.shift
-    lp, up = _gram_eigh(p, a.shape[0])
-    lq, uq = _gram_eigh(b.T @ b, b.shape[0])
+    lp, up = np.linalg.eigh(p)
+    lq, uq = np.linalg.eigh(b.T @ b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
     if system.u is None:
         if fac.pinned:

@@ -527,7 +527,7 @@ class TestTikhonovReference:
 class TestDirichletBoundary:
     def test_missing_boundary_refused(self):
         g, dx, dy = noisy_problem()
-        with pytest.raises(DimensionError, match="boundary grid must be"):
+        with pytest.raises(DimensionError, match="needs a boundary grid"):
             reconstruct(g, dx, dy, Dirichlet(None))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,10 +3,9 @@ import pytest
 
 from surfrec import (
     Dirichlet, DimensionError, Gls, GradientField, LCurveTikhonov, SingularSystemError,
-    Spectral, SylvesterSystem, Tikhonov, Weighted, assemble, build_cache, cosine_basis,
-    diff_matrix, radial_covariance_set, solve, sym_sqrt, work_estimate,
+    Spectral, SylvesterSystem, Tikhonov, Weighted, build_cache, cosine_basis, diff_matrix,
+    radial_covariance_set, solve, sym_sqrt, work_estimate,
 )
-from surfrec.sylvester import factor
 from surfrec.simulate import run_method
 
 
@@ -321,47 +320,3 @@ class TestOneFactorization:
         rng = np.random.default_rng(51)
         g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
         assert self.count_eigh(monkeypatch, radial_covariance_set, g) == 0
-
-
-class TestParitySplit:
-    """A checkerboard coefficient (cosine spectral) is diagonalized as one
-    half-size batch of its two parity blocks; other coefficients are not."""
-
-    @staticmethod
-    def eigh_shapes(monkeypatch, fn, *args):
-        shapes = []
-        eigh = np.linalg.eigh
-
-        def recording(mat, *eigh_args, **kwargs):
-            shapes.append(mat.shape)
-            return eigh(mat, *eigh_args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
-        fn(*args)
-        return shapes
-
-    def test_only_the_checkerboard_splits(self, monkeypatch):
-        rng = np.random.default_rng(52)
-        g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)),
-                          hx=0.7, hy=1.3)
-        dx, dy = g.operators(2)
-        spectral = Spectral(cosine_basis(12, 6), cosine_basis(16, 8))
-        assert self.eigh_shapes(monkeypatch, run_method, g, dx, dy, spectral) == [(2, 3, 3), (2, 4, 4)]
-        assert self.eigh_shapes(monkeypatch, run_method, g, dx, dy, Gls()) == [(12, 12), (16, 16)]
-
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_split_factorization_diagonalizes(self, order):
-        rng = np.random.default_rng(53)
-        g = GradientField(rng.standard_normal((40, 36)), rng.standard_normal((40, 36)),
-                          hx=0.7, hy=1.3)
-        dx, dy = g.operators(order)
-        system = assemble(g, dx, dy, Spectral(cosine_basis(40, 20), cosine_basis(36, 18)))
-        fac = factor(system)
-        for mat, lam, vec in ((system.a.T @ system.a, fac.lp, fac.up),
-                              (system.b.T @ system.b, fac.lq, fac.uq)):
-            scale = np.max(np.abs(mat))
-            assert np.all(np.diff(lam) >= 0)
-            assert np.max(np.abs(vec.T @ vec - np.eye(len(lam)))) <= 1e-13
-            assert np.max(np.abs((vec * lam) @ vec.T - mat)) <= 1e-13 * scale
-            assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * scale
-        assert fac.pinned
