@@ -67,7 +67,8 @@ class DiffMatrix:
         out = np.empty_like(mat, dtype=float)
         h = self.h
         if self.order == 2:
-            out[1:-1] = (mat[2:] - mat[:-2]) * (0.5 / h)
+            interior = np.subtract(mat[2:], mat[:-2], out=out[1:-1])
+            interior *= 0.5 / h
             out[0] = (-1.5 * mat[0] + 2.0 * mat[1] - 0.5 * mat[2]) / h
             out[-1] = (0.5 * mat[-3] - 2.0 * mat[-2] + 1.5 * mat[-1]) / h
         else:

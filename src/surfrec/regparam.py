@@ -106,7 +106,10 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
     With s = 2 lam^2 and m_ij the coefficients at lam, the misfit exceeds the
     GLS misfit by sum s^2 m_ij^2 / d_ij, a sum of non-negative terms, so
     rho^2 = rho_0^2 + sum s^2 m_ij^2 / d_ij loses nothing to cancellation
-    even where rho is tiny.  Each point costs O(mn).
+    even where rho is tiny.  Each point costs O(mn): the unshifted divisor
+    is formed once, and every point writes its divisor, coefficients and
+    squared terms into two reused buffers, in the arithmetic of
+    :func:`tikhonov_coefficients`.
     """
     lams = [float(v) for v in lam_grid]
     if not lams:
@@ -117,11 +120,17 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
         raise ValueError(
             "the parameter grid lam must be finite, positive and strictly ascending"
         )
+    fac = cache.factors
+    pencil = fac.divisor()
+    coeffs = np.empty_like(pencil)
+    terms = np.empty_like(pencil)
     points = []
     for lam in lams:
         shift = 2.0 * lam * lam
-        coeffs = tikhonov_coefficients(cache, lam)
-        excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
+        np.divide(cache.rhs_t, fac.divisor(shift, out=coeffs), out=coeffs)
+        np.multiply(coeffs, coeffs, out=terms)
+        np.divide(terms, pencil, out=terms)
+        excess = shift * shift * np.sum(terms)
         rho_sq = cache.misfit0 + excess
         eta_sq = np.linalg.norm(coeffs) ** 2
         points.append((lam, float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))

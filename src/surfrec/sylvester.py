@@ -9,7 +9,12 @@ a Sylvester equation with symmetric positive semi-definite coefficients and
 a non-negative shift s (the degree-0 Tikhonov penalty; zero otherwise).
 Every solve takes one route: :func:`factor` forms the symmetric
 eigendecompositions of A.T A and B.T B (a :class:`Factorization`), in
-whose basis :func:`solve` divides the equation elementwise.  When A and B
+whose basis :func:`solve` divides the equation elementwise.  It calls
+``eigh`` once per distinct coefficient: when B.T B equals A.T A bitwise (a
+square grid with equal spacing on both axes) both sides share one
+eigendecomposition, and an even-size checkerboard coefficient (a cosine
+spectral Gram, whose even-to-odd entries vanish but for rounding) is
+diagonalized as one batch of its two half-size parity blocks.  When A and B
 each annihilate a known vector (u and v), the operator has the rank-one
 null space u v.T; in that basis it is the single zero eigenvalue pair,
 whose coefficient :func:`solve` leaves at zero before projecting u v.T out
@@ -37,6 +42,7 @@ from .errors import DimensionError, SingularSystemError
 _SYM_TOL = 1e-10
 _PENCIL_TOL = 1e-12
 _NULL_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 def _require_symmetric(name: str, mat: np.ndarray) -> np.ndarray:
@@ -87,12 +93,22 @@ class Factorization:
     The pencil is singular when its smallest eigenvalue pair lp_0 + lq_0 lies
     within a relative tolerance of zero; that pair is then pinned: its
     coefficient is set to zero instead of divided by.
+
+    The arrays are read-only views.  When Q equals P, ``lq``/``uq`` share
+    memory with ``lp``/``up``, so a write through one side would silently
+    change the other; it raises instead.
     """
 
     lp: np.ndarray
     up: np.ndarray
     lq: np.ndarray
     uq: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lp", "up", "lq", "uq"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def tol(self) -> float:
@@ -119,11 +135,17 @@ class Factorization:
         """up X uq.T."""
         return self.up @ x @ self.uq.T
 
-    def divide(self, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """C'_ij / (lp_i + lq_j + shift), with the pinned entry set to zero."""
-        denom = self.lp[:, None] + (self.lq + shift)[None, :]
+    def divisor(self, shift: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
+        """lp_i + lq_j + shift, with the pinned entry set to inf (into ``out``
+        when given, an m-by-n float array)."""
+        denom = np.add(self.lp[:, None], (self.lq + shift)[None, :], out=out)
         if self.pinned:
             denom[0, 0] = np.inf  # the pinned constant of integration
+        return denom
+
+    def divide(self, c: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """C'_ij / (lp_i + lq_j + shift), with the pinned entry set to zero."""
+        denom = self.divisor(shift)
         return np.divide(c, denom, out=denom)
 
 
@@ -204,6 +226,42 @@ class SylvesterSystem:
         )
 
 
+def _eigh_pair(p: np.ndarray, q: np.ndarray):
+    """Ascending eigendecompositions (lp, up, lq, uq) of the symmetric
+    coefficients P and Q, with one ``eigh`` call per distinct matrix.
+
+    Q bitwise equal to P (the same operator on both axes of a square grid)
+    reuses P's eigenpairs, which are then the very ones a second call would
+    return.  A Gram of even order k whose even-to-odd entries all lie within
+    k * eps of its largest diagonal entry (which bounds every entry) is a
+    checkerboard: a spectral Gram of a parity basis such as cosine
+    (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).  Its two k/2
+    parity blocks are diagonalized as one batch and merged in ascending
+    order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  An off-parity
+    entry above that bound in the top-left corner rejects a matrix before
+    the full scan, so a stencil Gram pays almost nothing for the test.
+    """
+    same = q.shape == p.shape and np.array_equal(q, p)
+    pairs = []
+    for mat in (p,) if same else (p, q):
+        k = mat.shape[0]
+        off = mat[0::2, 1::2]
+        bound = k * _EPS * np.max(np.diagonal(mat), initial=0.0)
+        if (k == 0 or k % 2 or np.max(np.abs(off[:4, :4])) > bound
+                or np.max(np.abs(off)) > bound):
+            pairs.append(np.linalg.eigh(mat))
+            continue
+        lam, vec = np.linalg.eigh(np.stack([mat[0::2, 0::2], mat[1::2, 1::2]]))
+        half = k // 2
+        evecs = np.zeros((k, k))
+        evecs[0::2, :half] = vec[0]
+        evecs[1::2, half:] = vec[1]
+        order = np.argsort(lam.ravel(), kind="stable")
+        pairs.append((lam.ravel()[order], evecs[:, order]))
+    (lp, up), (lq, uq) = pairs[0], pairs[-1]
+    return lp, up, lq, uq
+
+
 def factor(system: SylvesterSystem) -> Factorization:
     """Eigendecompositions of the system's coefficients A.T A and B.T B.
 
@@ -214,13 +272,19 @@ def factor(system: SylvesterSystem) -> Factorization:
     exactly span{u v.T}: the second-smallest pencil eigenvalue,
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed the relative
     tolerance that the smallest one is pinned at.
+
+    ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
+    (after any shift is folded in) both sides get the same eigenpairs.  An
+    even-size checkerboard coefficient (cosine spectral) is diagonalized as
+    one batch of its two half-size parity blocks; its eigenpairs then differ
+    from a full ``eigh`` only by rounding.  Every other coefficient takes a
+    plain ``eigh``, so its eigenpairs are bitwise those of the full call.
     """
     a, b = system.a, system.b
     p = a.T @ a
     if system.u is None:
         p.flat[:: p.shape[0] + 1] += system.shift
-    lp, up = np.linalg.eigh(p)
-    lq, uq = np.linalg.eigh(b.T @ b)
+    lp, up, lq, uq = _eigh_pair(p, b.T @ b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
     if system.u is None:
         if fac.pinned:

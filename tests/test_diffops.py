@@ -61,6 +61,14 @@ class TestDiffMatrix:
         mat = rng.standard_normal((n, 7))
         assert np.max(np.abs(d.left_product(mat) - d.entries @ mat)) <= 1e-12
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed-view"])
+    def test_order_two_interior_equals_the_difference_expression_bitwise(self, transposed):
+        rng = np.random.default_rng(9)
+        d = diff_matrix(40, 0.37, 2)
+        mat = rng.standard_normal((24, 40)).T if transposed else rng.standard_normal((40, 24))
+        want = (mat[2:] - mat[:-2]) * (0.5 / d.h)
+        assert np.array_equal(d.left_product(mat)[1:-1], want)
+
     def test_too_few_nodes(self):
         with pytest.raises(DimensionError):
             diff_matrix(2, 1.0, 2)

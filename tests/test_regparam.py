@@ -197,6 +197,23 @@ class TestLCurve:
             direct = np.sqrt(gradient_misfit(reconstruct_from_cache(cache, lam), g, dx, dy))
             assert abs(rho - direct) <= 1e-9 * max(1.0, direct)
 
+    @pytest.mark.parametrize("shape,order", [((16, 20), 2), ((33, 24), 4), ((24, 24), 2)])
+    def test_points_equal_the_per_point_formula_bitwise(self, shape, order):
+        # the reference builds each point from tikhonov_coefficients and
+        # Factorization.divide, with fresh arrays at every parameter
+        _, g, dx, dy = noisy_problem(*shape, seed=50, order=order)
+        cache = build_cache(g, dx, dy)
+        grid = default_lambda_grid(cache, 12)
+        want = []
+        for lam in grid:
+            shift = 2.0 * lam * lam
+            coeffs = tikhonov_coefficients(cache, lam)
+            excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
+            rho_sq = cache.misfit0 + excess
+            eta_sq = np.linalg.norm(coeffs) ** 2
+            want.append((float(lam), float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))
+        assert l_curve(cache, grid) == want
+
     def test_grid_validation(self):
         cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    Dirichlet, DimensionError, Gls, GradientField, LCurveTikhonov, SingularSystemError,
-    Spectral, SylvesterSystem, Tikhonov, Weighted, build_cache, cosine_basis, diff_matrix,
-    radial_covariance_set, solve, sym_sqrt, work_estimate,
+    Dirichlet, DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
+    SingularSystemError, Spectral, SylvesterSystem, Tikhonov, Weighted, assemble, build_cache,
+    cosine_basis, diff_matrix, gram_basis, haar_basis, radial_covariance_set, solve, sym_sqrt,
+    work_estimate,
 )
 from surfrec.simulate import run_method
+from surfrec.sylvester import _eigh_pair, factor
 
 
 def kron_sylvester_solve(p, q, c):
@@ -273,21 +275,28 @@ class TestShift:
             self.shifted_system(42, bad)
 
 
+def eigh_shapes(monkeypatch, fn, *args):
+    """Shapes of the arrays passed to np.linalg.eigh while fn(*args) runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(mat, *eigh_args, **kwargs):
+        calls.append(mat.shape)
+        return eigh(mat, *eigh_args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    fn(*args)
+    return calls
+
+
 class TestOneFactorization:
-    """Every solve route factors its system exactly once: two eigh calls."""
+    """Every solve route factors its system exactly once: one eigh call per
+    distinct coefficient, two on an anisotropic grid and one on a square grid
+    with equal spacing."""
 
     @staticmethod
     def count_eigh(monkeypatch, fn, *args):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(mat, *eigh_args, **kwargs):
-            calls.append(mat.shape)
-            return eigh(mat, *eigh_args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        fn(*args)
-        return len(calls)
+        return len(eigh_shapes(monkeypatch, fn, *args))
 
     @pytest.mark.parametrize("name", [
         "gls", "spectral", "spectral-band", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet",
@@ -320,3 +329,147 @@ class TestOneFactorization:
         rng = np.random.default_rng(51)
         g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
         assert self.count_eigh(monkeypatch, radial_covariance_set, g) == 0
+
+    @pytest.mark.parametrize("name", [
+        "gls", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet", "build_cache", "lcurve",
+    ])
+    def test_square_grid_with_equal_spacing_needs_one_eigh_call(self, monkeypatch, name):
+        rng = np.random.default_rng(54)
+        g = GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)),
+                          hx=0.7, hy=0.7)
+        dx, dy = g.operators(2)
+        specs = {
+            "gls": Gls(),
+            "tikhonov-0": Tikhonov(lam=0.4, mu=0.4),
+            "tikhonov-1": Tikhonov(lam=0.4, mu=0.4, degree=1),
+            "tikhonov-2": Tikhonov(lam=0.4, mu=0.4, degree=2),
+            "dirichlet": Dirichlet(rng.standard_normal((16, 16))),
+            "lcurve": LCurveTikhonov(),
+        }
+        if name == "build_cache":
+            shapes = eigh_shapes(monkeypatch, build_cache, g, dx, dy)
+        else:
+            shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, specs[name])
+        k = 14 if name == "dirichlet" else 16
+        assert shapes == [(k, k)]
+
+
+def general_solve(system):
+    """Reference: :func:`solve` with one plain eigh call per coefficient."""
+    a, b = system.a, system.b
+    lp, up = np.linalg.eigh(a.T @ a)
+    lq, uq = np.linalg.eigh(b.T @ b)
+    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
+    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
+    u, v = system.u, system.v
+    return phi - np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
+
+
+def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=1.3):
+    rng = np.random.default_rng(seed)
+    g = GradientField(rng.standard_normal((m, n)), rng.standard_normal((m, n)), hx=hx, hy=hy)
+    dx, dy = g.operators(order)
+    return g, dx, dy, Spectral(family(m, p), family(n, q))
+
+
+class TestParitySplit:
+    """An even-size checkerboard coefficient (cosine spectral) is diagonalized
+    as one batched eigh of its two half-size parity blocks; every other
+    coefficient takes a plain eigh."""
+
+    def test_cosine_sides_each_pass_one_stack(self, monkeypatch):
+        g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
+        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 3, 3), (2, 4, 4)]
+
+    def test_square_cosine_passes_one_stack(self, monkeypatch):
+        g, dx, dy, spec = spectral_system(16, 16, 8, 8, 4, hx=0.7, hy=0.7)
+        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 4, 4)]
+
+    @pytest.mark.parametrize("family,m,n,p,q", [
+        (haar_basis, 16, 32, 8, 16),
+        (cosine_basis, 12, 16, 5, 7),
+        (gram_basis, 128, 96, 64, 48),
+        (gram_basis, 256, 128, 128, 64),
+    ], ids=["haar", "odd-size", "gram-128x96", "gram-256x128"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_other_bases_take_the_general_path(self, monkeypatch, family, m, n, p, q, order):
+        # Gram polynomials have parity too, but their recurrence leaves
+        # even-to-odd Gram entries of about 1e-11 relative: far above the
+        # rounding bound, so they are no checkerboards to this test
+        g, dx, dy, spec = spectral_system(m, n, p, q, order, family)
+        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(p, p), (q, q)]
+
+    @pytest.mark.parametrize("row,col", [(0, 3), (13, 24)], ids=["corner", "interior"])
+    def test_tolerance_is_order_times_eps_of_largest_diagonal(self, monkeypatch, row, col):
+        _, dx, _, spec = spectral_system(40, 40, 40, 32, 4)
+        a = dx.left_product(spec.basis_x.entries)
+        mat = a.T @ a
+        mat[0::2, 1::2] = mat[1::2, 0::2] = 0.0  # an exact checkerboard
+        k = mat.shape[0]
+        bound = k * np.finfo(float).eps * np.max(np.diagonal(mat))
+        for factor_, want in ((0.9, [(2, k // 2, k // 2)]), (1.1, [(k, k)])):
+            m2 = mat.copy()
+            m2[row, col] = m2[col, row] = factor_ * bound
+            other = np.eye(3)  # a distinct, odd-size Q takes the plain eigh
+            assert eigh_shapes(monkeypatch, _eigh_pair, m2, other) == want + [(3, 3)]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_split_factorization_diagonalizes(self, order):
+        g, dx, dy, spec = spectral_system(40, 36, 20, 18, order)
+        system = assemble(g, dx, dy, spec)
+        fac = factor(system)
+        for mat, lam, vec in ((system.a.T @ system.a, fac.lp, fac.up),
+                              (system.b.T @ system.b, fac.lq, fac.uq)):
+            scale = np.max(np.abs(mat))
+            assert np.all(np.diff(lam) >= 0)
+            assert np.max(np.abs(vec.T @ vec - np.eye(len(lam)))) <= 1e-13
+            assert np.max(np.abs((vec * lam) @ vec.T - mat)) <= 1e-13 * scale
+            assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * scale
+        assert fac.pinned
+
+    @staticmethod
+    def heights(spec, coeff):
+        return spec.basis_y.entries @ coeff @ spec.basis_x.entries.T
+
+    @pytest.mark.parametrize("size", [(8, 12), (16, 16), (64, 48), (128, 200), (512, 512)])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_half_cosine_matches_general_path(self, size, order):
+        m, n = size
+        g, dx, dy, spec = spectral_system(m, n, m // 2, n // 2, order)
+        system = assemble(g, dx, dy, spec)
+        want = self.heights(spec, general_solve(system))
+        got = self.heights(spec, solve(system))
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size", [(16, 16), (64, 48), (512, 512)])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_full_cosine_basis_matches_gls(self, size, order):
+        # a complete basis spans every grid, so the spectral minimizer is the
+        # GLS one; the plain eigh of the full 512 Gram strays up to 3e-11
+        # from it at order 4, so GLS is the reference here
+        m, n = size
+        g, dx, dy, spec = spectral_system(m, n, m, n, order)
+        got = self.heights(spec, solve(assemble(g, dx, dy, spec)))
+        want = run_method(g, dx, dy, Gls()).heights
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+class TestReadOnlyFactorization:
+    """lq/uq can be the very arrays lp/up, so no side may be written through."""
+
+    def test_equal_grams_share_read_only_eigenpairs(self):
+        rng = np.random.default_rng(56)
+        g = GradientField(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
+        fac = factor(assemble(g, *g.operators(2), Gls()))
+        assert np.shares_memory(fac.lp, fac.lq) and np.shares_memory(fac.up, fac.uq)
+        for arr in (fac.lp, fac.up, fac.lq, fac.uq):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fac.uq *= 2.0
+
+    def test_callers_arrays_stay_writeable(self):
+        lp, up = np.array([1.0, 2.0]), np.eye(2)
+        fac = Factorization(lp=lp, up=up, lq=lp, uq=up)
+        assert lp.flags.writeable and up.flags.writeable
+        assert not (fac.lp.flags.writeable or fac.uq.flags.writeable)
