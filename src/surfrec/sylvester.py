@@ -258,8 +258,7 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
         evecs[1::2, half:] = vec[1]
         order = np.argsort(lam.ravel(), kind="stable")
         pairs.append((lam.ravel()[order], evecs[:, order]))
-    (lp, up), (lq, uq) = pairs[0], pairs[-1]
-    return lp, up, lq, uq
+    return (*pairs[0], *pairs[-1])
 
 
 def factor(system: SylvesterSystem) -> Factorization:
