@@ -16,11 +16,11 @@ eigendecomposition, and an even-size checkerboard coefficient (a cosine
 spectral Gram, whose even-to-odd entries vanish but for rounding) is
 diagonalized as one batch of its two half-size parity blocks.  When A and B
 each annihilate a known vector (u and v), the operator has the rank-one
-null space u v.T; in that basis it is the single zero eigenvalue pair,
-whose coefficient :func:`solve` leaves at zero before projecting u v.T out
-of the solution exactly.  This pins the free constant of integration to
-zero, so the returned solution satisfies u.T Phi v = 0 (mean free in the
-unweighted case).
+null space u v.T, the single zero eigenvalue pair in that basis.  The
+factorization carries u and v: it pins that pair's coefficient at zero and
+projects u v.T out of every solution it maps back, so whoever solves gets
+u.T Phi v = 0 (mean free in the unweighted case).  The shift always goes to
+the divisor, so one factorization serves every shift.
 
 The paper removes the null space by Householder deflation before solving,
 because the Bartels-Stewart algorithm cannot take a singular pencil.  The
@@ -90,9 +90,10 @@ class Factorization:
     sides only shifts every divisor by the same amount, so one factorization
     serves any number of right-hand sides and penalty parameters.
 
-    The pencil is singular when its smallest eigenvalue pair lp_0 + lq_0 lies
-    within a relative tolerance of zero; that pair is then pinned: its
-    coefficient is set to zero instead of divided by.
+    ``u`` and ``v`` are the system's null vectors (``None`` when it names
+    none).  With them lp_0 + lq_0 is the null pair u v.T, and it is pinned:
+    its coefficient is set to zero instead of divided by, and
+    :meth:`from_basis` projects u v.T out of every solution it maps back.
 
     The arrays are read-only views.  When Q equals P, ``lq``/``uq`` share
     memory with ``lp``/``up``, so a write through one side would silently
@@ -103,24 +104,21 @@ class Factorization:
     up: np.ndarray
     lq: np.ndarray
     uq: np.ndarray
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("lp", "up", "lq", "uq"):
+        if (self.u is None) != (self.v is None):
+            raise DimensionError("null vectors u and v must both be given or both omitted")
+        for name in ("lp", "up", "lq", "uq") + (("u", "v") if self.pinned else ()):
             view = np.asarray(getattr(self, name), dtype=float).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
 
     @property
-    def tol(self) -> float:
-        """Pencil eigenvalues at or below this are numerically zero."""
-        return _PENCIL_TOL * (
-            np.max(np.abs(self.lp), initial=0.0) + np.max(np.abs(self.lq), initial=0.0)
-        )
-
-    @property
     def pinned(self) -> bool:
-        """Whether the smallest eigenvalue pair is numerically zero."""
-        return bool(self.lp[0] + self.lq[0] <= self.tol)
+        """Whether the system declared a null pair (u, v)."""
+        return self.u is not None
 
     @property
     def pencil(self) -> np.ndarray:
@@ -132,8 +130,13 @@ class Factorization:
         return self.up.T @ c @ self.uq
 
     def from_basis(self, x: np.ndarray) -> np.ndarray:
-        """up X uq.T."""
-        return self.up @ x @ self.uq.T
+        """up X uq.T, with u v.T projected out exactly when pinned, so the
+        result satisfies u.T Phi v = 0."""
+        phi = self.up @ x @ self.uq.T
+        if self.pinned:
+            u, v = self.u, self.v
+            phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
+        return phi
 
     def divisor(self, shift: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
         """lp_i + lq_j + shift, with the pinned entry set to inf (into ``out``
@@ -264,31 +267,29 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
 def factor(system: SylvesterSystem) -> Factorization:
     """Eigendecompositions of the system's coefficients A.T A and B.T B.
 
-    Without null vectors the shift is folded into A.T A, so a pencil that
-    only the shift makes nonsingular is factored; a pencil that is still
-    singular is refused.  With null vectors the shift is left to
-    :meth:`Factorization.divide`, and the operator's null space must be
-    exactly span{u v.T}: the second-smallest pencil eigenvalue,
-    min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed the relative
-    tolerance that the smallest one is pinned at.
+    It carries the system's null vectors and depends on the operators
+    alone; the shift goes to :meth:`Factorization.divide`.  Without null
+    vectors a pencil is refused when lambda_0 + mu_0 + shift lies within a
+    relative tolerance of zero.  With null vectors the operator's null space
+    must be exactly span{u v.T}: the second-smallest pencil eigenvalue,
+    min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
     ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
-    (after any shift is folded in) both sides get the same eigenpairs.  An
-    even-size checkerboard coefficient (cosine spectral) is diagonalized as
-    one batch of its two half-size parity blocks; its eigenpairs then differ
-    from a full ``eigh`` only by rounding.  Every other coefficient takes a
-    plain ``eigh``, so its eigenpairs are bitwise those of the full call.
+    both sides get the same eigenpairs.  An even-size checkerboard
+    coefficient (cosine spectral) is diagonalized as one batch of its two
+    half-size parity blocks; its eigenpairs then differ from a full
+    ``eigh`` only by rounding.  Every other coefficient takes a plain
+    ``eigh``, so its eigenpairs are bitwise those of the full call.
     """
     a, b = system.a, system.b
-    p = a.T @ a
+    lp, up, lq, uq = _eigh_pair(a.T @ a, b.T @ b)
+    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
+    scale = np.max(np.abs(lp), initial=0.0) + np.max(np.abs(lq), initial=0.0)
     if system.u is None:
-        p.flat[:: p.shape[0] + 1] += system.shift
-    lp, up, lq, uq = _eigh_pair(p, b.T @ b)
-    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
-    if system.u is None:
-        if fac.pinned:
+        smallest = lp[0] + lq[0] + system.shift
+        if smallest <= _PENCIL_TOL * (scale + system.shift):
             raise SingularSystemError(
-                f"singular pencil: smallest eigenvalue pair sums to {lp[0] + lq[0]:.3e}"
+                f"singular pencil: smallest eigenvalue pair sums to {smallest:.3e}"
             )
         return fac
     second = np.inf  # a side with a single unknown contributes no candidate
@@ -296,7 +297,7 @@ def factor(system: SylvesterSystem) -> Factorization:
         second = lp[1] + lq[0]
     if lq.size > 1:
         second = min(second, lp[0] + lq[1])
-    if second <= fac.tol:
+    if second <= _PENCIL_TOL * scale:
         raise SingularSystemError(
             f"singular pencil: second-smallest eigenvalue pair sums to {second:.3e}; "
             "the operator's null space is larger than one"
@@ -308,21 +309,16 @@ def solve(system: SylvesterSystem) -> np.ndarray:
     """Solve the system's normal equations through one :func:`factor`.
 
     In the eigenbasis every coefficient is divided by its pencil eigenvalue
-    lambda_i + mu_j (+ shift).  With null vectors the pinned pair's
-    coefficient stays zero and u v.T is projected out of the back-transformed
-    solution exactly, so the result is the unique minimizer with
-    u.T Phi v = 0.  With a positive shift the minimizer is unique anyway,
-    and it satisfies u.T Phi v = 0 because u.T (A.T F + G B) v vanishes, so
-    the pin and the projection only remove rounding.
+    lambda_i + mu_j + shift.  With null vectors the pinned pair's
+    coefficient stays zero and :meth:`Factorization.from_basis` projects
+    u v.T out of the back-transformed solution exactly, so the result is the
+    unique minimizer with u.T Phi v = 0.  With a positive shift the
+    minimizer is unique anyway, and it satisfies u.T Phi v = 0 because
+    u.T (A.T F + G B) v vanishes, so the pin and the projection only remove
+    rounding.
     """
     fac = factor(system)
-    u, v = system.u, system.v
-    # without null vectors the shift is already inside the factorization
-    shift = 0.0 if u is None else system.shift
-    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), shift))
-    if u is not None:
-        phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
-    return phi
+    return fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
 
 
 def work_estimate(m: int, n: int, method: str = "sylvester", truncation_level: int = 0) -> float:

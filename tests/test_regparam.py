@@ -331,9 +331,8 @@ class TestPathEquivalence:
 
     @pytest.mark.parametrize("lam", [1e-3, 1e-1, 1.0, 10.0])
     def test_cache_path_matches_stacked_path(self, lam):
-        # both routes divide through the one factorization; only solve
-        # projects out the null pair, and at unit node spacing the rounding
-        # that projection removes stays well inside the tolerance at tiny lam
+        # both routes divide through the one factorization and project out
+        # the null pair in its back-map
         rng = np.random.default_rng(50)
         g = GradientField(rng.standard_normal((18, 18)), rng.standard_normal((18, 18)))
         dx, dy = g.operators(2)
@@ -343,6 +342,19 @@ class TestPathEquivalence:
         rel = np.linalg.norm(z_fast.heights - z_stacked.heights)
         rel /= max(np.linalg.norm(z_stacked.heights), 1e-30)
         assert rel <= 1e-8
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 10.0])
+    @pytest.mark.parametrize("shape,hx,hy,order", [
+        ((24, 24), 1.0, 1.0, 4), ((20, 31), 0.7, 1.3, 2),
+    ], ids=["square-equal", "20x31-anisotropic"])
+    def test_cache_surface_is_the_degree0_surface_bitwise(self, shape, hx, hy, order, lam):
+        # the same factorization, divisor and back-map, null projection
+        # included, so the two routes do the same arithmetic
+        rng = np.random.default_rng(53)
+        g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), hx, hy)
+        dx, dy = g.operators(order)
+        got = reconstruct_from_cache(build_cache(g, dx, dy), lam).heights
+        assert np.array_equal(got, reconstruct(g, dx, dy, Tikhonov(lam=lam)).heights)
 
     def test_zero_and_tiny_parameter_agree(self):
         _, g, dx, dy = noisy_problem(seed=51)

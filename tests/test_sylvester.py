@@ -214,6 +214,9 @@ class TestSylvesterSystem:
         with pytest.raises(DimensionError):
             SylvesterSystem(a=d.entries, b=d.entries, f=g.zy, g=g.zx,
                             u=np.ones(5), v=None)
+        with pytest.raises(DimensionError, match="both"):
+            Factorization(lp=np.ones(5), up=np.eye(5), lq=np.ones(5), uq=np.eye(5),
+                          u=np.ones(5))
 
 
 class TestShift:
@@ -257,6 +260,18 @@ class TestShift:
         full = SylvesterSystem(a=a, b=b, f=f, g=system.g, shift=s)
         want = kron_sylvester_solve(a.T @ a + s * np.eye(a.shape[1]), b.T @ b, full.rhs())
         assert np.max(np.abs(solve(full) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_factorization_does_not_depend_on_the_shift(self):
+        # without null vectors too, the shift goes to the divisor only, so
+        # one factorization serves every shift
+        system, rng = self.shifted_system(41, 0.8)
+        a = np.vstack([system.a, np.eye(system.a.shape[1])])
+        f = np.vstack([system.f, rng.standard_normal(system.phi_shape)])
+        plain, shifted = (factor(SylvesterSystem(a=a, b=system.b, f=f, g=system.g, shift=s))
+                          for s in (0.0, 0.8))
+        for name in ("lp", "up", "lq", "uq"):
+            assert np.array_equal(getattr(plain, name), getattr(shifted, name))
+        assert not (plain.pinned or shifted.pinned)
 
     def test_shift_lifts_a_singular_pencil_without_null_vectors(self):
         system, rng = self.shifted_system(43, 0.5)
@@ -359,10 +374,8 @@ def general_solve(system):
     a, b = system.a, system.b
     lp, up = np.linalg.eigh(a.T @ a)
     lq, uq = np.linalg.eigh(b.T @ b)
-    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq)
-    phi = fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
-    u, v = system.u, system.v
-    return phi - np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
+    fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
+    return fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
 
 
 def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=1.3):
