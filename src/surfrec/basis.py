@@ -8,6 +8,7 @@ the spectrum of a constant vector is supported on index 0 alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,10 @@ class BasisSet:
             raise ValueError("cannot slice a basis down to zero columns")
         if any(c < 0 or c >= self.p for c in cols):
             raise ValueError(f"column index out of range 0..{self.p - 1}")
+        repeated = sorted(c for c, k in Counter(cols).items() if k > 1)
+        if repeated:
+            # two equal columns would make the spectral operator rank deficient
+            raise ValueError(f"column positions repeated: {repeated}")
         return BasisSet(
             entries=self.entries[:, cols],
             family=self.family,

@@ -95,8 +95,13 @@ def _cmd_tikhonov(args) -> int:
         raise ValueError("give exactly one of --lambda or --lcurve")
     if args.lcurve and (args.mu is not None or args.degree != 0):
         raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
+    if args.points is not None and not args.lcurve:
+        raise ValueError("--points sizes the --lcurve sweep; drop it or add --lcurve")
     # built before any grid is read, so a bad --points fails first
-    lcurve = regparam.LCurveTikhonov(args.points) if args.lcurve else None
+    lcurve = None
+    if args.lcurve:
+        lcurve = (regparam.LCurveTikhonov() if args.points is None
+                  else regparam.LCurveTikhonov(args.points))
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     if lcurve is not None:
@@ -291,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, choices=(0, 1, 2), default=0)
     p.add_argument("--lcurve", action="store_true",
                    help="pick the parameter at the corner of an L-curve sweep")
-    p.add_argument("--points", type=int, default=20, help="L-curve sweep size")
+    p.add_argument("--points", type=int, default=None,
+                   help="L-curve sweep size (default 20; needs --lcurve)")
     p.set_defaults(func=_cmd_tikhonov)
 
     p = sub.add_parser("dirichlet", help="reconstruction with prescribed boundary heights")

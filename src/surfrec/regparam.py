@@ -71,8 +71,8 @@ def tikhonov_coefficients(cache: SpectralCache, lam: float) -> np.ndarray:
 
     Entrywise m_ij = R'_ij / (d_ij + 2 lam^2).  The entry where both
     eigenvalues vanish is the free constant of integration; it is pinned to
-    zero, matching the deflated solver's convention, so the two solution
-    paths agree.
+    zero, as in :func:`~surfrec.sylvester.solve`, so the two solution paths
+    agree.
     """
     check_parameter("lam", lam)
     return cache.factors.divide(cache.rhs_t, 2.0 * lam * lam)

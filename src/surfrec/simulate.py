@@ -24,6 +24,7 @@ import csv
 import io
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,10 +381,16 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
     (base_seed, level index, trial index), so runs are reproducible and
     methods directly comparable.  The default fourth-order operators keep the
     discretization error of the non-polynomial test surface well below the
-    injected noise.
+    injected noise.  A repeated level or label is refused: its cells would
+    pool each other's trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    for name, values in (("noise levels", [float(v) for v in levels]),
+                         ("method labels", [label for label, _ in methods])):
+        repeated = sorted(v for v, k in Counter(values).items() if k > 1)
+        if repeated:
+            raise ValueError(f"{name} repeated: {repeated}")
     spec = surface_spec if surface_spec is not None else default_bump_spec()
     z_true, g_true = bump_surface(spec)
     dx, dy = g_true.operators(order)

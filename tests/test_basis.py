@@ -127,6 +127,8 @@ def test_subset_validation():
         b.subset([])
     with pytest.raises(ValueError):
         b.subset([4])
+    with pytest.raises(ValueError, match=r"repeated: \[1\]"):
+        cosine_basis(12, 6).subset([0, 1, 1, 2])
     with pytest.raises(ValueError):
         b.drop([-1])
     with pytest.raises(ValueError):

@@ -106,12 +106,14 @@ class TestLCurveCommand:
 
 
 class TestPointsRefusedUpFront:
-    """A sweep too small for its command fails before any grid is read."""
+    """A sweep too small for its command, or a sweep size without a sweep,
+    fails before any grid is read."""
 
     @pytest.mark.parametrize("command", [
         ["tikhonov", "--lcurve", "--points", "4"],
         ["tikhonov", "--lcurve", "--points", "0"],
         ["lcurve", "--points", "1"],
+        ["tikhonov", "--lambda", "0.5", "--points", "3"],
     ])
     def test_no_solve_and_no_output(self, tmp_path, capsys, monkeypatch, command):
         _, zx, zy = discrete_gradient_files(tmp_path, seed=86)
@@ -125,6 +127,7 @@ class TestPointsRefusedUpFront:
 
     @pytest.mark.parametrize("command", [
         ["tikhonov", "--lcurve", "--points", "4"], ["lcurve", "--points", "1"],
+        ["tikhonov", "--lambda", "0.5", "--points", "3"],
     ])
     def test_refused_before_the_grids_are_read(self, tmp_path, capsys, command):
         missing = str(tmp_path / "missing.g2s")
@@ -175,11 +178,14 @@ class TestSimulateCommand:
         (["--trials", "0", "--rows", "16", "--cols", "16"], "invalid argument"),
         (["--trials", "1", "--rows", "20", "--cols", "16", "--basis", "haar"], "invalid argument"),
         (["--trials", "1", "--rows", "4", "--cols", "16", "--order", "4"], "dimension error"),
-    ], ids=["no-trials", "haar-not-power-of-two", "grid-below-stencil"])
+        (["--trials", "1", "--rows", "16", "--cols", "16", "--levels", "0.1,0.1"],
+         "invalid argument"),
+    ], ids=["no-trials", "haar-not-power-of-two", "grid-below-stencil", "repeated-level"])
     def test_refused_run_leaves_no_dump(self, tmp_path, capsys, flags, label):
         out = tmp_path / "m.csv"
         prefix = tmp_path / "dump"
-        assert main(["simulate", *flags, "--levels", "0.1",
+        # the last --levels wins, so a case's own levels follow the default
+        assert main(["simulate", "--levels", "0.1", *flags,
                      "--out", str(out), "--dump", str(prefix)]) == 1
         assert f"surfrec: {label}: " in capsys.readouterr().err
         for name in ("zx", "zy", "ztrue"):

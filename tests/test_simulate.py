@@ -387,6 +387,20 @@ class TestMonteCarlo:
             assert per_method["gls"] <= per_method["tik"] + 1e-9
             assert per_method["gls"] <= per_method["lcurve"] + 1e-9
 
+    @pytest.mark.parametrize("levels,methods,message", [
+        ([0.1, 0.1], [("gls", Gls())], r"noise levels repeated: \[0\.1\]"),
+        ([0.1], [("m", Gls()), ("m", Tikhonov(lam=0.5))], r"method labels repeated: \['m'\]"),
+    ], ids=["level", "label"])
+    def test_repeats_refused_before_any_trial(self, monkeypatch, levels, methods, message):
+        # a repeated level or label would pool the trials of two cells
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulate, "run_method", no_trial)
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(methods, NoiseSpec("iid", 0.1, 0), levels=levels, trials=2,
+                        base_seed=5, surface_spec=default_bump_spec(16, 16), order=2)
+
     def test_csv_layout(self):
         result = monte_carlo([("gls", Gls())], NoiseSpec("iid", 0.1, 0), levels=[0.1],
                              trials=2, base_seed=5,
