@@ -70,8 +70,15 @@ class BasisSet:
         return self.subset(keep)
 
 
+def _count(name: str, value) -> int:
+    """value as an int, refusing bools and non-integral numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_counts(n: int, p: int) -> tuple[int, int]:
-    n, p = int(n), int(p)
+    n, p = _count("node count", n), _count("basis count", p)
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
     if not 1 <= p <= n:
@@ -101,23 +108,44 @@ def gram_basis(n: int, p: int) -> BasisSet:
     column's projection onto the previous columns exceeds 1e-11, which keeps
     the set orthonormal at node counts in the thousands.  Column k has
     polynomial degree exactly k.
+
+    The nodes are symmetric about 0, so column k has parity (-1)^k:
+    J b_k = (-1)^k b_k with J the reversal.  The recurrence runs on the
+    ceil(n/2) nodes of the first half only, each inner product weighting a
+    mirrored node by 2 (the middle node of an odd n by 1), and each column
+    is projected only against earlier columns of its own parity, since the
+    others are orthogonal to it by symmetry.  Reflecting the half columns
+    then makes the parity hold bitwise, which lets a spectral Gram of this
+    basis split into its two parity blocks (see ``sylvester.factor``).
     """
     n, p = _check_counts(n, p)
-    x = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
-    b = np.zeros((n, p))
-    b[:, 0] = 1.0 / np.sqrt(n)
+    half, mirrored = (n + 1) // 2, n // 2
+    x = np.linspace(-1.0, 1.0, n)[:half]
+    w = np.full(half, 2.0)
+    if n % 2:
+        x[-1] = 0.0  # the middle node, exactly, so that odd columns vanish there
+        w[-1] = 1.0
+    # half columns by parity, one per row: cols[k % 2][k // 2] is column k
+    cols = (np.empty(((p + 1) // 2, half)), np.empty((p // 2, half)))
+    cols[0][0] = 1.0 / np.sqrt(n)
+    prev = cols[0][0]
     for k in range(1, p):
-        t = x * b[:, k - 1]
-        t -= b[:, k - 1] * (b[:, k - 1] @ t)
+        same = cols[k % 2][:k // 2]  # the earlier columns of k's parity
+        t = x * prev
         if k >= 2:
-            t -= b[:, k - 2] * (b[:, k - 2] @ t)
-        coeff = b[:, :k].T @ t
-        if np.max(np.abs(coeff)) > 1e-11 * max(np.linalg.norm(t), 1e-300):
-            t -= b[:, :k] @ coeff
-        norm = np.linalg.norm(t)
+            t -= same[-1] * (same[-1] @ (w * t))
+        coeff = same @ (w * t)
+        if np.max(np.abs(coeff), initial=0.0) > 1e-11 * max(np.sqrt(t @ (w * t)), 1e-300):
+            t -= coeff @ same
+        norm = np.sqrt(t @ (w * t))
         if norm <= 1e-300:
             raise ValueError(f"Gram recurrence broke down at degree {k} on {n} nodes")
-        b[:, k] = t / norm
+        prev = cols[k % 2][k // 2] = t / norm
+    b = np.empty((n, p))
+    b[:half, 0::2] = cols[0].T
+    b[:half, 1::2] = cols[1].T
+    b[half:] = b[:mirrored][::-1]
+    b[half:, 1::2] *= -1.0
     return BasisSet(entries=b, family="gram")
 
 

@@ -76,7 +76,7 @@ def _cmd_spectral(args) -> int:
     p = args.p if args.p is not None else math.ceil(g.m / 2)
     q = args.q if args.q is not None else math.ceil(g.n / 2)
     by = make_basis(args.basis, g.m, p)
-    bx = make_basis(args.basis, g.n, q)
+    bx = by if (g.n, q) == (g.m, p) else make_basis(args.basis, g.n, q)
     if args.drop_cols:
         dropped = _parse_int_list(args.drop_cols)
         widest = max(by.p, bx.p)

@@ -12,9 +12,9 @@ eigendecompositions of A.T A and B.T B (a :class:`Factorization`), in
 whose basis :func:`solve` divides the equation elementwise.  It calls
 ``eigh`` once per distinct coefficient: when B.T B equals A.T A bitwise (a
 square grid with equal spacing on both axes) both sides share one
-eigendecomposition, and an even-size checkerboard coefficient (a cosine
+eigendecomposition, and a checkerboard coefficient (a cosine or Gram
 spectral Gram, whose even-to-odd entries vanish but for rounding) is
-diagonalized as one batch of its two half-size parity blocks.  When A and B
+diagonalized as one batch of its two parity blocks.  When A and B
 each annihilate a known vector (u and v), the operator has the rank-one
 null space u v.T, the single zero eigenvalue pair in that basis.  The
 factorization carries u and v: it pins that pair's coefficient at zero and
@@ -235,12 +235,15 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
 
     Q bitwise equal to P (the same operator on both axes of a square grid)
     reuses P's eigenpairs, which are then the very ones a second call would
-    return.  A Gram of even order k whose even-to-odd entries all lie within
+    return.  A Gram of order k >= 2 whose even-to-odd entries all lie within
     k * eps of its largest diagonal entry (which bounds every entry) is a
-    checkerboard: a spectral Gram of a parity basis such as cosine
-    (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).  Its two k/2
-    parity blocks are diagonalized as one batch and merged in ascending
-    order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  An off-parity
+    checkerboard: a spectral Gram of a parity basis such as cosine or Gram
+    polynomials (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).
+    Its parity blocks, of orders ceil(k/2) and floor(k/2), are diagonalized
+    as one batch and merged in ascending order (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976).  For odd k the smaller block is padded with a
+    decoupled diagonal entry above the Gershgorin bound of both blocks, so
+    its eigenpair comes last in the batch and is dropped.  An off-parity
     entry above that bound in the top-left corner rejects a matrix before
     the full scan, so a stencil Gram pays almost nothing for the test.
     """
@@ -250,17 +253,22 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
         k = mat.shape[0]
         off = mat[0::2, 1::2]
         bound = k * _EPS * np.max(np.diagonal(mat), initial=0.0)
-        if (k == 0 or k % 2 or np.max(np.abs(off[:4, :4])) > bound
-                or np.max(np.abs(off)) > bound):
+        if k < 2 or np.max(np.abs(off[:4, :4])) > bound or np.max(np.abs(off)) > bound:
             pairs.append(np.linalg.eigh(mat))
             continue
-        lam, vec = np.linalg.eigh(np.stack([mat[0::2, 0::2], mat[1::2, 1::2]]))
-        half = k // 2
+        even, odd = (k + 1) // 2, k // 2
+        blocks = np.zeros((2, even, even))
+        blocks[0] = mat[0::2, 0::2]
+        blocks[1, :odd, :odd] = mat[1::2, 1::2]
+        if odd < even:
+            blocks[1, -1, -1] = 2.0 * np.max(np.sum(np.abs(mat), axis=1)) or 1.0
+        lam, vec = np.linalg.eigh(blocks)
         evecs = np.zeros((k, k))
-        evecs[0::2, :half] = vec[0]
-        evecs[1::2, half:] = vec[1]
-        order = np.argsort(lam.ravel(), kind="stable")
-        pairs.append((lam.ravel()[order], evecs[:, order]))
+        evecs[0::2, :even] = vec[0]
+        evecs[1::2, even:] = vec[1, :odd, :odd]
+        lam = np.concatenate([lam[0], lam[1, :odd]])
+        order = np.argsort(lam, kind="stable")
+        pairs.append((lam[order], evecs[:, order]))
     return (*pairs[0], *pairs[-1])
 
 
@@ -275,11 +283,11 @@ def factor(system: SylvesterSystem) -> Factorization:
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
     ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
-    both sides get the same eigenpairs.  An even-size checkerboard
-    coefficient (cosine spectral) is diagonalized as one batch of its two
-    half-size parity blocks; its eigenpairs then differ from a full
-    ``eigh`` only by rounding.  Every other coefficient takes a plain
-    ``eigh``, so its eigenpairs are bitwise those of the full call.
+    both sides get the same eigenpairs.  A checkerboard coefficient (cosine
+    or Gram spectral, of any size) is diagonalized as one batch of its two
+    parity blocks; its eigenpairs then differ from a full ``eigh`` only by
+    rounding.  Every other coefficient takes a plain ``eigh``, so its
+    eigenpairs are bitwise those of the full call.
     """
     a, b = system.a, system.b
     lp, up, lq, uq = _eigh_pair(a.T @ a, b.T @ b)

@@ -216,7 +216,9 @@ def test_criterion_08_complexity_scaling():
             break
     ok = 4.0 <= ratio <= 16.0 and speedup >= 3.0
     report(8, "complexity scaling", ok,
-           f"(gls 512/256 ratio {ratio:.2f}, spectral speedup {speedup:.2f}x)")
+           f"(gls 512/256 ratio {ratio:.2f}, spectral speedup {speedup:.2f}x; minima in ms: "
+           f"gls 256 {best[('gls', 256)] * 1e3:.1f}, gls 512 {best[('gls', 512)] * 1e3:.1f}, "
+           f"spectral 512 {best[('spectral', 512)] * 1e3:.1f})")
 
 
 def test_criterion_09_work_models():

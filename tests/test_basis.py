@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surfrec import cosine_basis, gram_basis, haar_basis, make_basis
+from surfrec import cosine_basis, diff_matrix, gram_basis, haar_basis, make_basis
 
 FAMILIES = [cosine_basis, gram_basis, haar_basis]
 
@@ -51,6 +51,24 @@ class TestGram:
     def test_large_n_stays_orthonormal(self):
         b = gram_basis(400, 60).entries
         assert np.max(np.abs(b.T @ b - np.eye(60))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 2048])
+    def test_parity_is_exact(self, n):
+        b = gram_basis(n, n if n < 100 else n // 2).entries
+        sign = (-1.0) ** np.arange(b.shape[1])
+        assert np.array_equal(b[::-1], b * sign)
+
+    def test_stays_orthonormal_at_2048_nodes(self):
+        b = gram_basis(2048, 1024).entries
+        assert np.max(np.abs(b.T @ b - np.eye(1024))) <= 1e-11
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_spectral_gram_is_a_checkerboard(self, order):
+        # the test sylvester.factor makes before it splits a coefficient
+        a = diff_matrix(1019, 0.7, order).left_product(gram_basis(1019, 510).entries)
+        mat = a.T @ a
+        bound = mat.shape[0] * np.finfo(float).eps * np.max(np.diagonal(mat))
+        assert np.max(np.abs(mat[0::2, 1::2])) <= bound
 
 
 class TestHaar:
@@ -109,6 +127,21 @@ def test_count_validation(build):
         build(8, 0)
     with pytest.raises(ValueError):
         build(8, 9)
+
+
+@pytest.mark.parametrize("build", FAMILIES)
+@pytest.mark.parametrize("n,p", [
+    (16, 2.5), (16.9, 3), (16.0, 4), (True, 1), (16, True), ("16", 4),
+])
+def test_counts_must_be_integers(build, n, p):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(n, p)
+
+
+@pytest.mark.parametrize("build", FAMILIES)
+def test_numpy_integer_counts_are_accepted(build):
+    got = build(np.int64(16), np.int32(5)).entries
+    assert np.array_equal(got, build(16, 5).entries)
 
 
 def test_subset_tracks_original_columns():

@@ -3,7 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from surfrec import apply_dx, apply_dy, diff_matrix, read_grid, write_grid
+import surfrec.cli
+from surfrec import (
+    GradientField, Spectral, apply_dx, apply_dy, diff_matrix, make_basis, read_grid,
+    reconstruct, write_grid,
+)
 from surfrec.cli import main, run_bench
 
 
@@ -44,6 +48,28 @@ class TestReconstructionCommands:
         a = read_grid(out_g).values
         b = read_grid(out_t).values
         assert np.max(np.abs(a - b)) <= 1e-8
+
+    @pytest.mark.parametrize("basis", ["cosine", "gram"])
+    @pytest.mark.parametrize("drop", [[], ["--drop-cols=0"]], ids=["full", "band"])
+    def test_square_spectral_builds_one_basis(self, tmp_path, capsys, monkeypatch, basis, drop):
+        _, zx, zy = discrete_gradient_files(tmp_path, n=16, seed=92)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return make_basis(*args)
+
+        monkeypatch.setattr(surfrec.cli, "make_basis", counting)
+        out = tmp_path / "z.g2s"
+        assert main(["spectral", zx, zy, "--basis", basis, "--out", str(out)] + drop) == 0
+        assert built == [(basis, 16, 8)]
+        # the same surface as two separately built bases give
+        g = GradientField(read_grid(zx).values, read_grid(zy).values)
+        by, bx = make_basis(basis, 16, 8), make_basis(basis, 16, 8)
+        if drop:
+            by, bx = by.drop([0]), bx.drop([0])
+        want = reconstruct(g, *g.operators(2), Spectral(basis_y=by, basis_x=bx)).heights
+        assert np.array_equal(read_grid(out).values, want)
 
     def test_spectral_and_wls_and_dirichlet_run(self, tmp_path, capsys):
         z, zx, zy = discrete_gradient_files(tmp_path, seed=82)

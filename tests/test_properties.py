@@ -50,7 +50,8 @@ problems = st.fixed_dictionaries({
 # multiples of 0.1 in [-2, 2], so no coefficient is subnormal
 coefficients = st.integers(-20, 20).map(lambda k: k / 10)
 
-METHODS = ["gls", "spectral", "dirichlet", "weighted", "tikhonov-0", "tikhonov-1", "tikhonov-2"]
+METHODS = ["gls", "spectral", "spectral-gram", "spectral-band", "dirichlet", "weighted",
+           "tikhonov-0", "tikhonov-1", "tikhonov-2"]
 
 
 def make_spec(name, p, rng):
@@ -58,9 +59,14 @@ def make_spec(name, p, rng):
     m, n = p["m"], p["n"]
     if name == "gls":
         return Gls()
-    if name == "spectral":
-        return Spectral(make_basis("cosine", m, math.ceil(m / 2)),
-                        make_basis("cosine", n, math.ceil(n / 2)))
+    if name.startswith("spectral"):
+        family = "gram" if name == "spectral-gram" else "cosine"
+        by = make_basis(family, m, math.ceil(m / 2))
+        bx = make_basis(family, n, math.ceil(n / 2))
+        if name == "spectral-band":
+            # no constant column: no null pair, and widths of either parity
+            by, bx = by.drop([0]), bx.drop([0])
+        return Spectral(by, bx)
     if name == "dirichlet":
         return Dirichlet(rng.standard_normal((m, n)))
     if name == "weighted":

@@ -369,13 +369,23 @@ class TestOneFactorization:
         assert shapes == [(k, k)]
 
 
-def general_solve(system):
-    """Reference: :func:`solve` with one plain eigh call per coefficient."""
+def general_solve(system, refine=0):
+    """Reference: :func:`solve` with one plain eigh call per coefficient,
+    then ``refine`` steps of iterative refinement on the residual of the
+    normal equations."""
     a, b = system.a, system.b
     lp, up = np.linalg.eigh(a.T @ a)
     lq, uq = np.linalg.eigh(b.T @ b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
-    return fac.from_basis(fac.divide(fac.to_basis(system.rhs()), system.shift))
+
+    def divided(c):
+        return fac.from_basis(fac.divide(fac.to_basis(c), system.shift))
+
+    c = system.rhs()
+    phi = divided(c)
+    for _ in range(refine):
+        phi = phi + divided(c - (a.T @ (a @ phi) + (phi @ b.T) @ b + system.shift * phi))
+    return phi
 
 
 def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=1.3):
@@ -386,9 +396,9 @@ def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=
 
 
 class TestParitySplit:
-    """An even-size checkerboard coefficient (cosine spectral) is diagonalized
-    as one batched eigh of its two half-size parity blocks; every other
-    coefficient takes a plain eigh."""
+    """A checkerboard coefficient (a cosine or Gram spectral Gram, of any
+    order k >= 2) is diagonalized as one batched eigh of its two parity
+    blocks; every other coefficient takes a plain eigh."""
 
     def test_cosine_sides_each_pass_one_stack(self, monkeypatch):
         g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
@@ -399,16 +409,24 @@ class TestParitySplit:
         assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 4, 4)]
 
     @pytest.mark.parametrize("family,m,n,p,q", [
-        (haar_basis, 16, 32, 8, 16),
         (cosine_basis, 12, 16, 5, 7),
         (gram_basis, 128, 96, 64, 48),
         (gram_basis, 256, 128, 128, 64),
-    ], ids=["haar", "odd-size", "gram-128x96", "gram-256x128"])
+        (gram_basis, 101, 90, 51, 45),
+    ], ids=["odd-size", "gram-128x96", "gram-256x128", "gram-odd-size"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_other_parity_bases_pass_one_stack(self, monkeypatch, family, m, n, p, q, order):
+        # an odd order k splits into blocks of ceil(k/2) and floor(k/2); the
+        # smaller one is padded to the larger, so each side is one batch
+        g, dx, dy, spec = spectral_system(m, n, p, q, order, family)
+        shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, spec)
+        assert shapes == [(2, (p + 1) // 2, (p + 1) // 2), (2, (q + 1) // 2, (q + 1) // 2)]
+
+    @pytest.mark.parametrize("family,m,n,p,q", [
+        (haar_basis, 16, 32, 8, 16),
+    ], ids=["haar"])
     @pytest.mark.parametrize("order", [2, 4])
     def test_other_bases_take_the_general_path(self, monkeypatch, family, m, n, p, q, order):
-        # Gram polynomials have parity too, but their recurrence leaves
-        # even-to-odd Gram entries of about 1e-11 relative: far above the
-        # rounding bound, so they are no checkerboards to this test
         g, dx, dy, spec = spectral_system(m, n, p, q, order, family)
         assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(p, p), (q, q)]
 
@@ -423,12 +441,13 @@ class TestParitySplit:
         for factor_, want in ((0.9, [(2, k // 2, k // 2)]), (1.1, [(k, k)])):
             m2 = mat.copy()
             m2[row, col] = m2[col, row] = factor_ * bound
-            other = np.eye(3)  # a distinct, odd-size Q takes the plain eigh
+            other = np.eye(3)
+            other[0, 1] = other[1, 0] = 0.5  # off parity: a plain eigh
             assert eigh_shapes(monkeypatch, _eigh_pair, m2, other) == want + [(3, 3)]
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_split_factorization_diagonalizes(self, order):
-        g, dx, dy, spec = spectral_system(40, 36, 20, 18, order)
+    @staticmethod
+    def check_diagonalizes(m, n, p, q, order):
+        g, dx, dy, spec = spectral_system(m, n, p, q, order)
         system = assemble(g, dx, dy, spec)
         fac = factor(system)
         for mat, lam, vec in ((system.a.T @ system.a, fac.lp, fac.up),
@@ -440,17 +459,55 @@ class TestParitySplit:
             assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * scale
         assert fac.pinned
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_split_factorization_diagonalizes(self, order):
+        self.check_diagonalizes(40, 36, 20, 18, order)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_odd_split_drops_the_padding(self, order):
+        # the padded pair is the batch's largest, and only its row goes
+        self.check_diagonalizes(42, 38, 21, 19, order)
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_smallest_checkerboards_split(self, monkeypatch, k):
+        rng = np.random.default_rng(57)
+        mat = np.zeros((k, k))
+        for par in (0, 1):
+            x = rng.standard_normal((k, k))[par::2, par::2]
+            mat[par::2, par::2] = x @ x.T
+        shapes = eigh_shapes(monkeypatch, _eigh_pair, mat, mat)
+        assert shapes == [(2, (k + 1) // 2, (k + 1) // 2)]
+        lam, vec = _eigh_pair(mat, mat)[:2]
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * np.max(np.abs(mat))
+        assert np.max(np.abs((vec * lam) @ vec.T - mat)) <= 1e-13 * np.max(np.abs(mat))
+
     @staticmethod
     def heights(spec, coeff):
         return spec.basis_y.entries @ coeff @ spec.basis_x.entries.T
 
-    @pytest.mark.parametrize("size", [(8, 12), (16, 16), (64, 48), (128, 200), (512, 512)])
+    @pytest.mark.parametrize("size", [(8, 12), (16, 16), (64, 48), (128, 200), (512, 512),
+                                      (10, 14), (202, 130), (890, 632)])
     @pytest.mark.parametrize("order", [2, 4])
     def test_half_cosine_matches_general_path(self, size, order):
+        # sizes from (10, 14) on have odd half widths
         m, n = size
         g, dx, dy, spec = spectral_system(m, n, m // 2, n // 2, order)
         system = assemble(g, dx, dy, spec)
         want = self.heights(spec, general_solve(system))
+        got = self.heights(spec, solve(system))
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size", [(8, 12), (14, 22), (64, 48), (130, 202), (512, 512)],
+                             ids=["8x12", "odd-7x11", "64x48", "odd-65x101", "512x512"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_half_gram_matches_general_path(self, size, order):
+        # the plain eigh of the order-4 Gram at 512 nodes strays 1.9e-11 from
+        # the exact minimizer (checked by refining with a long-double
+        # residual), the split 3.1e-12; two refinement steps land on it
+        m, n = size
+        g, dx, dy, spec = spectral_system(m, n, m // 2, n // 2, order, gram_basis)
+        system = assemble(g, dx, dy, spec)
+        want = self.heights(spec, general_solve(system, refine=2))
         got = self.heights(spec, solve(system))
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
