@@ -209,9 +209,13 @@ def _build_spectral(g, dx, dy, spec: Spectral):
         u[by.columns.index(0)] = 1.0
         v = np.zeros(bx.p)
         v[bx.columns.index(0)] = 1.0
+    a = dy.left_product(by.entries)
+    # the stencil product reads only h and the order, so equal spacings,
+    # orders and bases give one operator block for both axes
+    same = dx.h == dy.h and dx.order == dy.order and np.array_equal(by.entries, bx.entries)
     system = SylvesterSystem(
-        a=dy.left_product(by.entries),
-        b=dx.left_product(bx.entries),
+        a=a,
+        b=a if same else dx.left_product(bx.entries),
         f=g.zy @ bx.entries,
         g=by.entries.T @ g.zx,
         u=u, v=v,
@@ -340,4 +344,6 @@ def reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSp
     minimizer with u.T Phi v = 0.
     """
     system, to_surface = _build(g, dx, dy, spec)
-    return Surface(heights=to_surface(solve(system)), hx=g.hx, hy=g.hy)
+    phi = solve(system)
+    del system  # the back-map needs phi alone, so its blocks go first
+    return Surface(heights=to_surface(phi), hx=g.hx, hy=g.hy)

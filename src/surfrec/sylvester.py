@@ -233,12 +233,13 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
     """Ascending eigendecompositions (lp, up, lq, uq) of the symmetric
     coefficients P and Q, with one ``eigh`` call per distinct matrix.
 
-    Q bitwise equal to P (the same operator on both axes of a square grid)
-    reuses P's eigenpairs, which are then the very ones a second call would
-    return.  A Gram of order k >= 2 whose even-to-odd entries all lie within
-    k * eps of its largest diagonal entry (which bounds every entry) is a
-    checkerboard: a spectral Gram of a parity basis such as cosine or Gram
-    polynomials (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).
+    Q that is P, or bitwise equal to it (the same operator on both axes of a
+    square grid), reuses P's eigenpairs, which are then the very ones a
+    second call would return.  A Gram of order k >= 2 whose even-to-odd
+    entries all lie within k * eps of its largest diagonal entry (which
+    bounds every entry) is a checkerboard: a spectral Gram of a parity
+    basis such as cosine or Gram polynomials (J b_k = (-1)^k b_k, kept by
+    the stencils, J D J = -D).
     Its parity blocks, of orders ceil(k/2) and floor(k/2), are diagonalized
     as one batch and merged in ascending order (Cantoni & Butler, Linear
     Algebra Appl. 13, 1976).  For odd k the smaller block is padded with a
@@ -247,7 +248,7 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
     entry above that bound in the top-left corner rejects a matrix before
     the full scan, so a stencil Gram pays almost nothing for the test.
     """
-    same = q.shape == p.shape and np.array_equal(q, p)
+    same = q is p or (q.shape == p.shape and np.array_equal(q, p))
     pairs = []
     for mat in (p,) if same else (p, q):
         k = mat.shape[0]
@@ -263,12 +264,14 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
         if odd < even:
             blocks[1, -1, -1] = 2.0 * np.max(np.sum(np.abs(mat), axis=1)) or 1.0
         lam, vec = np.linalg.eigh(blocks)
-        evecs = np.zeros((k, k))
-        evecs[0::2, :even] = vec[0]
-        evecs[1::2, even:] = vec[1, :odd, :odd]
         lam = np.concatenate([lam[0], lam[1, :odd]])
         order = np.argsort(lam, kind="stable")
-        pairs.append((lam[order], evecs[:, order]))
+        rank = np.empty(k, dtype=np.intp)
+        rank[order] = np.arange(k)
+        evecs = np.zeros((k, k))  # each block's vectors go straight to their sorted columns
+        evecs[0::2, rank[:even]] = vec[0]
+        evecs[1::2, rank[even:]] = vec[1, :odd, :odd]
+        pairs.append((lam[order], evecs))
     return (*pairs[0], *pairs[-1])
 
 
@@ -283,14 +286,17 @@ def factor(system: SylvesterSystem) -> Factorization:
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
     ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
-    both sides get the same eigenpairs.  A checkerboard coefficient (cosine
-    or Gram spectral, of any size) is diagonalized as one batch of its two
-    parity blocks; its eigenpairs then differ from a full ``eigh`` only by
-    rounding.  Every other coefficient takes a plain ``eigh``, so its
-    eigenpairs are bitwise those of the full call.
+    both sides get the same eigenpairs; when B is A itself (a spectral
+    system whose axes share spacing, order and basis) B.T B is not formed.
+    A checkerboard coefficient (cosine or Gram spectral, of any size) is
+    diagonalized as one batch of its two parity blocks; its eigenpairs then
+    differ from a full ``eigh`` only by rounding.  Every other coefficient
+    takes a plain ``eigh``, so its eigenpairs are bitwise those of the full
+    call.
     """
     a, b = system.a, system.b
-    lp, up, lq, uq = _eigh_pair(a.T @ a, b.T @ b)
+    gram = a.T @ a
+    lp, up, lq, uq = _eigh_pair(gram, gram if b is a else b.T @ b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
     scale = np.max(np.abs(lp), initial=0.0) + np.max(np.abs(lq), initial=0.0)
     if system.u is None:

@@ -196,6 +196,26 @@ class TestAssemble:
         bandpass = assemble(g, dx, dy, Spectral(by.drop([0]), bx.drop([0])))
         assert bandpass.u is None and bandpass.v is None
 
+    def test_spectral_axes_with_equal_spacing_and_basis_share_one_block(self):
+        rng = np.random.default_rng(23)
+        g = GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)),
+                          hx=0.7, hy=0.7)
+        dx, dy = g.operators(2)
+        system = assemble(g, dx, dy, Spectral(cosine_basis(16, 8), cosine_basis(16, 8)))
+        assert system.b is system.a
+        assert np.array_equal(system.a, dy.left_product(cosine_basis(16, 8).entries))
+
+    @pytest.mark.parametrize("hy,bx", [(0.8, cosine_basis(16, 8)), (0.7, gram_basis(16, 8)),
+                                       (0.7, cosine_basis(16, 9).drop([0]))])
+    def test_spectral_axes_that_differ_keep_their_own_blocks(self, hy, bx):
+        rng = np.random.default_rng(24)
+        g = GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)),
+                          hx=0.7, hy=hy)
+        dx, dy = g.operators(2)
+        system = assemble(g, dx, dy, Spectral(cosine_basis(16, 8), bx))
+        assert system.b is not system.a
+        assert np.array_equal(system.b, dx.left_product(bx.entries))
+
     def test_spectral_size_mismatch(self):
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):

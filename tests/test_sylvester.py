@@ -340,6 +340,17 @@ class TestOneFactorization:
             calls = self.count_eigh(monkeypatch, run_method, g, dx, dy, specs[name])
         assert calls == 2
 
+    def test_shared_operator_block_factors_like_two_equal_ones(self):
+        g, dx, dy, spec = spectral_system(16, 16, 8, 8, 2, hx=0.7, hy=0.7)
+        system = assemble(g, dx, dy, spec)
+        assert system.b is system.a
+        apart = SylvesterSystem(a=system.a, b=system.a.copy(), f=system.f, g=system.g,
+                                u=system.u, v=system.v)
+        shared, split = factor(system), factor(apart)
+        for name in ("lp", "up", "lq", "uq"):
+            assert np.array_equal(getattr(shared, name), getattr(split, name))
+        assert np.array_equal(solve(system), solve(apart))
+
     def test_radial_covariances_need_no_eigh(self, monkeypatch):
         rng = np.random.default_rng(51)
         g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
