@@ -176,8 +176,10 @@ MethodSpec = Gls | Spectral | Tikhonov | Dirichlet | Weighted
 
 def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> float:
     """Squared Frobenius distance between a surface's gradient and g."""
-    zxr = apply_dx(z, dx) - g.zx
-    zyr = apply_dy(z, dy) - g.zy
+    zxr = apply_dx(z, dx)
+    zxr -= g.zx
+    zyr = apply_dy(z, dy)
+    zyr -= g.zy
     return float(np.linalg.norm(zxr) ** 2 + np.linalg.norm(zyr) ** 2)
 
 
@@ -190,8 +192,11 @@ def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
 
 
 def _build_gls(g, dx, dy):
+    # bitwise equal operators (a square grid with equal spacing and one
+    # stencil order) pass one block for both axes, so factor forms one Gram
+    a = dy.entries
     system = SylvesterSystem(
-        a=dy.entries, b=dx.entries, f=g.zy, g=g.zx,
+        a=a, b=a if np.array_equal(dx.entries, dy.entries) else dx.entries, f=g.zy, g=g.zx,
         u=np.ones(g.m), v=np.ones(g.n),
     )
     return system, lambda phi: phi
@@ -239,7 +244,14 @@ def _a_priori(g, dx, dy, grid, name: str):
 def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     lam, mu, k = spec.lam, spec.mu_value, spec.degree
     z0, f, gx = _a_priori(g, dx, dy, spec.reference, "reference surface")
-    a, b, shift = dy.entries, dx.entries, 0.0
+    # equal operators and a penalty that weighs both axes alike (any degree-0
+    # one, or lam = mu) give equal blocks: build one and pass it as both
+    same = np.array_equal(dx.entries, dy.entries) and (k == 0 or lam == mu)
+    if k == 2:
+        # the stencil product reads h and the order as well as the entries
+        same = same and dx.h == dy.h and dx.order == dy.order
+    a, shift = dy.entries, 0.0
+    b = a if same else dx.entries
     if k == 0:
         # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil
         shift = lam * lam + mu * mu
@@ -247,10 +259,11 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
         # [D; lam D] has the normal equations of sqrt(1 + lam^2) D with the
         # data divided by the same factor: the GLS blocks, rescaled
         sy, sx = math.sqrt(1.0 + mu * mu), math.sqrt(1.0 + lam * lam)
-        a, b, f, gx = sy * a, sx * b, f / sy, gx / sx
+        a, f, gx = sy * a, f / sy, gx / sx
+        b = a if same else sx * b
     else:
         a = np.vstack([a, mu * dy.left_product(a)])
-        b = np.vstack([b, lam * dx.left_product(b)])
+        b = a if same else np.vstack([b, lam * dx.left_product(b)])
         f = np.vstack([f, np.zeros_like(f)])
         gx = np.hstack([gx, np.zeros_like(gx)])
     system = SylvesterSystem(a=a, b=b, f=f, g=gx, u=np.ones(g.m), v=np.ones(g.n), shift=shift)
@@ -270,7 +283,9 @@ def _build_dirichlet(g, dx, dy, spec: Dirichlet):
     zb, f, gx = _a_priori(g, dx, dy, spec.boundary, "boundary grid")
     # interior selection realized by index slicing rather than explicit
     # permutation matrices
-    system = SylvesterSystem(a=dy.entries[:, 1:-1], b=dx.entries[:, 1:-1],
+    a = dy.entries[:, 1:-1]
+    system = SylvesterSystem(a=a, b=a if np.array_equal(dx.entries, dy.entries)
+                             else dx.entries[:, 1:-1],
                              f=f[:, 1:-1], g=gx[1:-1, :])
 
     def embed(interior):
@@ -330,6 +345,9 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     by the same factors; its ``cost`` is the stacked cost less the
     Phi-independent constant mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.
     Degree 2 stacks the penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.
+    When both axes would get bitwise equal blocks (equal operators, as on a
+    square grid with equal spacing, and for Tikhonov degrees 1 and 2 also
+    lam = mu), one array is passed as both ``a`` and ``b``.
     """
     return _build(g, dx, dy, spec)[0]
 

@@ -24,6 +24,9 @@ from .diffops import DiffMatrix, GradientField, Surface
 from .methods import Gls, assemble, check_parameter, gradient_misfit
 from .sylvester import Factorization, factor
 
+# doubles in the (parameter x pencil entry) block of L-curve weights: 512 KiB
+_SWEEP_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SpectralCache:
@@ -103,13 +106,15 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
 
     rho is the root of the gradient misfit and eta the solution norm (the
     Frobenius norm is invariant under the orthonormal change of basis).
-    With s = 2 lam^2 and m_ij the coefficients at lam, the misfit exceeds the
-    GLS misfit by sum s^2 m_ij^2 / d_ij, a sum of non-negative terms, so
-    rho^2 = rho_0^2 + sum s^2 m_ij^2 / d_ij loses nothing to cancellation
-    even where rho is tiny.  Each point costs O(mn): the unshifted divisor
-    is formed once, and every point writes its divisor, coefficients and
-    squared terms into two reused buffers, in the arithmetic of
-    :func:`tikhonov_coefficients`.
+    With s = 2 lam^2 and d_ij the pencil, the coefficients at lam are
+    R'_ij / (d_ij + s), so eta^2 = sum R'_ij^2 / (d_ij + s)^2, and the misfit
+    exceeds the GLS misfit by s^2 sum R'_ij^2 / ((d_ij + s)^2 d_ij), a sum of
+    non-negative terms: rho^2 = rho_0^2 + that sum loses nothing to
+    cancellation even where rho is tiny.  The whole grid takes one pass over
+    the pencil: R'^2 and R'^2 / d are formed once, and for each block of
+    entries the weights 1 / (d_ij + s)^2 of every parameter fill one small
+    array, sized to stay in cache, whose products with the two give both
+    sums.  The pinned entry's divisor is inf, so it weighs nothing.
     """
     lams = [float(v) for v in lam_grid]
     if not lams:
@@ -120,29 +125,36 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
         raise ValueError(
             "the parameter grid lam must be finite, positive and strictly ascending"
         )
-    fac = cache.factors
-    pencil = fac.divisor()
-    coeffs = np.empty_like(pencil)
-    terms = np.empty_like(pencil)
-    points = []
-    for lam in lams:
-        shift = 2.0 * lam * lam
-        np.divide(cache.rhs_t, fac.divisor(shift, out=coeffs), out=coeffs)
-        np.multiply(coeffs, coeffs, out=terms)
-        np.divide(terms, pencil, out=terms)
-        excess = shift * shift * np.sum(terms)
-        rho_sq = cache.misfit0 + excess
-        eta_sq = np.linalg.norm(coeffs) ** 2
-        points.append((lam, float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))
-    return points
+    shifts = 2.0 * np.square(lams)
+    pencil = cache.factors.divisor().ravel()
+    numerators = np.empty((2, pencil.size))  # R'^2 and R'^2 / d
+    np.square(cache.rhs_t.ravel(), out=numerators[0])
+    np.divide(numerators[0], pencil, out=numerators[1])
+    block = max(1, _SWEEP_CELLS // len(lams))
+    weights = np.empty((len(lams), min(block, pencil.size)))
+    sums = np.zeros((2, len(lams)))
+    for start in range(0, pencil.size, block):
+        stop = min(start + block, pencil.size)
+        w = weights[:, :stop - start]
+        np.add(shifts[:, None], pencil[start:stop], out=w)
+        np.multiply(w, w, out=w)
+        np.reciprocal(w, out=w)
+        sums += numerators[:, start:stop] @ w.T
+    eta_sq, excess = sums
+    rho_sq = cache.misfit0 + shifts * shifts * excess
+    return [(lam, float(r), float(e))
+            for lam, r, e in zip(lams, np.sqrt(rho_sq), np.sqrt(eta_sq))]
 
 
 def default_lambda_grid(cache: SpectralCache, count: int = 20) -> np.ndarray:
     """Logarithmic grid spanning [1e-4, 1e+1] times the median operator scale.
 
     The span brackets the filter-factor transition region for typical
-    operators; it is a practical default, not a tuned constant.
+    operators; it is a practical default, not a tuned constant.  ``count``
+    is a whole number (an int or a numpy integer, not a bool or a float).
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"grid size must be an integer, got {count!r}")
     if count < 2:
         raise ValueError("grid needs at least two points")
     # eigh can return the null eigenvalue pair slightly below zero

@@ -293,7 +293,9 @@ def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
     The KS statistic is the distance between the empirical distribution of
     the standardized gradient residuals (both components pooled) and the
     standard normal.  It is computed directly from the sorted sample; no
-    p-value is computed.
+    p-value is computed.  Both residual components are written into one
+    2mn buffer, which is centred and scaled in place, with the arithmetic
+    of ``(res - res.mean()) / res.std()`` on the pooled sample.
     """
     if z.heights.shape != z_true.heights.shape or z.heights.shape != (g_meas.m, g_meas.n):
         raise DimensionError("surface, truth, and gradient dimensions must agree")
@@ -301,13 +303,17 @@ def evaluate(z: Surface, z_true: Surface, g_meas: GradientField,
     za = z.heights - z.heights.mean()
     ta = z_true.heights - z_true.heights.mean()
     denom = np.linalg.norm(ta)
-    rel = float(np.linalg.norm(za - ta) / (denom if denom > 0 else 1.0))
-    res = np.concatenate([
-        (apply_dx(z, dx) - g_meas.zx).ravel(),
-        (apply_dy(z, dy) - g_meas.zy).ravel(),
-    ])
-    sd = res.std()
-    ks = _ks_distance((res - res.mean()) / sd) if sd > 0 else 0.0
+    za -= ta
+    rel = float(np.linalg.norm(za) / (denom if denom > 0 else 1.0))
+    del za, ta
+    res = np.empty((2, g_meas.m, g_meas.n))
+    np.subtract(apply_dx(z, dx), g_meas.zx, out=res[0])
+    np.subtract(apply_dy(z, dy), g_meas.zy, out=res[1])
+    res = res.reshape(-1)
+    res -= res.mean()
+    # res.std() is the root of the mean square of exactly these centred values
+    sd = math.sqrt(np.square(res).sum() / res.size)
+    ks = _ks_distance(np.divide(res, sd, out=res)) if sd > 0 else 0.0
     return TrialMetrics(cost_residual=float(cost), rel_error=rel, ks_statistic=ks)
 
 

@@ -138,10 +138,9 @@ class Factorization:
             phi -= np.multiply.outer(u, ((u @ phi @ v) / ((u @ u) * (v @ v))) * v)
         return phi
 
-    def divisor(self, shift: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
-        """lp_i + lq_j + shift, with the pinned entry set to inf (into ``out``
-        when given, an m-by-n float array)."""
-        denom = np.add(self.lp[:, None], (self.lq + shift)[None, :], out=out)
+    def divisor(self, shift: float = 0.0) -> np.ndarray:
+        """lp_i + lq_j + shift, with the pinned entry set to inf."""
+        denom = self.lp[:, None] + (self.lq + shift)[None, :]
         if self.pinned:
             denom[0, 0] = np.inf  # the pinned constant of integration
         return denom
@@ -286,8 +285,9 @@ def factor(system: SylvesterSystem) -> Factorization:
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
     ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
-    both sides get the same eigenpairs; when B is A itself (a spectral
-    system whose axes share spacing, order and basis) B.T B is not formed.
+    both sides get the same eigenpairs; when B is A itself (the one block
+    ``assemble`` passes for equal operators on both axes of a square grid)
+    B.T B is not formed.
     A checkerboard coefficient (cosine or Gram spectral, of any size) is
     diagonalized as one batch of its two parity blocks; its eigenpairs then
     differ from a full ``eigh`` only by rounding.  Every other coefficient

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from surfrec import (
     Spectral, SylvesterSystem, Tikhonov, Weighted, apply_dx, apply_dy, assemble,
     cosine_basis, gradient_misfit, gram_basis, make_basis, reconstruct, solve, sym_sqrt,
 )
+from surfrec import methods
 from surfrec.simulate import ORACLE_MAX_CELLS
 
 
@@ -25,6 +28,25 @@ def noisy_problem(m=12, n=14, seed=21, order=2):
                       hx=0.3, hy=0.4)
     dx, dy = g.operators(order)
     return g, dx, dy
+
+
+def square_problem(n=16, h=0.7, order=2):
+    """Random gradient on a square grid with equal spacing on both axes."""
+    rng = np.random.default_rng(22)
+    g = GradientField(rng.standard_normal((n, n)), rng.standard_normal((n, n)), hx=h, hy=h)
+    dx, dy = g.operators(order)
+    return g, dx, dy
+
+
+# degree 0 shares at any (lam, mu), degrees 1 and 2 only at lam = mu
+SHARED_BLOCK_SPECS = [
+    Gls(), Tikhonov(lam=0.4), Tikhonov(lam=0.3, mu=0.6), Tikhonov(lam=0.4, mu=0.4, degree=1),
+    Tikhonov(lam=0.4, degree=2),
+    Tikhonov(lam=0.4, degree=2, reference=np.linspace(-1, 1, 256).reshape(16, 16)),
+    Dirichlet(np.linspace(0, 1, 256).reshape(16, 16)),
+]
+SHARED_BLOCK_IDS = ["gls", "tikhonov-0", "tikhonov-0-unequal", "tikhonov-1", "tikhonov-2",
+                    "tikhonov-2-reference", "dirichlet"]
 
 
 def kron_tikhonov_minnorm(g, dx, dy, spec):
@@ -216,6 +238,37 @@ class TestAssemble:
         assert system.b is not system.a
         assert np.array_equal(system.b, dx.left_product(bx.entries))
 
+    @pytest.mark.parametrize("spec", SHARED_BLOCK_SPECS, ids=SHARED_BLOCK_IDS)
+    def test_equal_axes_share_one_block(self, spec):
+        g, dx, dy = square_problem()
+        system, to_surface = methods._build(g, dx, dy, spec)
+        assert system.b is system.a
+        # the same surface as two blocks that are equal but apart
+        apart = dataclasses.replace(system, b=system.a.copy())
+        assert np.array_equal(reconstruct(g, dx, dy, spec).heights, to_surface(solve(apart)))
+
+    @pytest.mark.parametrize("spec", SHARED_BLOCK_SPECS, ids=SHARED_BLOCK_IDS)
+    @pytest.mark.parametrize("shape,hx,hy,order_y", [
+        ((16, 16), 0.7, 0.8, 2), ((16, 17), 0.7, 0.7, 2), ((16, 16), 0.7, 0.7, 4),
+    ], ids=["spacing", "size", "order"])
+    def test_axes_that_differ_keep_their_own_blocks(self, spec, shape, hx, hy, order_y):
+        rng = np.random.default_rng(25)
+        g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), hx=hx, hy=hy)
+        dx = g.operators(2)[0]
+        dy = g.operators(order_y)[1]
+        if isinstance(spec, Dirichlet):
+            spec = Dirichlet(rng.standard_normal(shape))
+        elif getattr(spec, "reference", None) is not None:
+            spec = dataclasses.replace(spec, reference=rng.standard_normal(shape))
+        system = assemble(g, dx, dy, spec)
+        assert system.b is not system.a
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_unequal_penalties_keep_their_own_blocks(self, degree):
+        g, dx, dy = square_problem()
+        system = assemble(g, dx, dy, Tikhonov(lam=0.3, mu=0.6, degree=degree))
+        assert system.b is not system.a
+
     def test_spectral_size_mismatch(self):
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):
@@ -260,6 +313,27 @@ class TestAssemble:
             Tikhonov(lam=bad)
         with pytest.raises(ValueError, match="parameter mu "):
             Tikhonov(lam=1.0, mu=bad)
+
+
+class TestGradientMisfit:
+    @pytest.mark.parametrize("shape,order", [((9, 13), 2), ((24, 24), 4), ((65, 47), 4)])
+    def test_equals_the_out_of_place_expression_bitwise(self, shape, order):
+        rng = np.random.default_rng(26)
+        g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), 0.7, 1.3)
+        dx, dy = g.operators(order)
+        z = rng.standard_normal(shape)
+        want = float(np.linalg.norm(apply_dx(z, dx) - g.zx) ** 2
+                     + np.linalg.norm(apply_dy(z, dy) - g.zy) ** 2)
+        assert gradient_misfit(z, g, dx, dy) == want
+
+    def test_leaves_its_inputs_alone(self):
+        rng = np.random.default_rng(27)
+        g = GradientField(rng.standard_normal((9, 13)), rng.standard_normal((9, 13)))
+        dx, dy = g.operators(2)
+        z = rng.standard_normal((9, 13))
+        before = (z.copy(), g.zx.copy(), g.zy.copy())
+        gradient_misfit(z, g, dx, dy)
+        assert all(np.array_equal(a, b) for a, b in zip((z, g.zx, g.zy), before))
 
 
 class TestReconstruct:

@@ -8,7 +8,12 @@ or 4, node spacings in [0.5, 2] and a seed for the random data, then checks:
 * transposition: swapping the x and y axes of the problem (the gradient
   components, the spacings, and every per-axis input of the method)
   transposes the surface.  Tikhonov swaps lam and mu, which catches a
-  penalty that scales the wrong axis.
+  penalty that scales the wrong axis;
+* the null contract: a method that declares the null pair (u, v) returns
+  the solution with u.T Phi v = 0, and so does the L-curve cache;
+* scale: multiplying both node spacings by c multiplies the surface by c,
+  once every height-valued input is scaled by c and a degree-k Tikhonov
+  parameter by c^(k-1), which keeps the penalty's weight.
 """
 
 import atexit
@@ -23,8 +28,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from surfrec import (
-    CovarianceSet, Dirichlet, Gls, GradientField, Spectral, Tikhonov, Weighted,
-    make_basis, reconstruct,
+    CovarianceSet, Dirichlet, Gls, GradientField, Spectral, Tikhonov, Weighted, assemble,
+    build_cache, make_basis, reconstruct, reconstruct_from_cache, solve,
 )
 
 SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -125,3 +130,49 @@ def test_swapping_the_axes_transposes_the_surface(name, p):
     got = surface(zy.T, zx.T, p, transposed(spec), swap=True)
     assert got.shape == want.shape[::-1]
     assert np.linalg.norm(got - want.T) <= 1e-9 * np.linalg.norm(want)
+
+
+# the methods that declare a null pair: all but Dirichlet and the spectral
+# basis without its constant column
+PINNED = [name for name in METHODS if name not in ("dirichlet", "spectral-band")]
+
+
+@pytest.mark.parametrize("name", PINNED + ["lcurve-cache"])
+@SETTINGS
+@given(p=problems)
+def test_pinned_solutions_meet_the_null_contract(name, p):
+    rng = np.random.default_rng(p["seed"])
+    g = GradientField(*rng.standard_normal((2, p["m"], p["n"])), p["hx"], p["hy"])
+    dx, dy = g.operators(p["order"])
+    if name == "lcurve-cache":
+        u, v = np.ones(g.m), np.ones(g.n)
+        phi = reconstruct_from_cache(build_cache(g, dx, dy), p["lam"]).heights
+    else:
+        system = assemble(g, dx, dy, make_spec(name, p, rng))
+        u, v = system.u, system.v
+        assert u is not None
+        phi = solve(system)
+    bound = 1e-12 * np.linalg.norm(u) * np.linalg.norm(phi) * np.linalg.norm(v)
+    assert abs(u @ phi @ v) <= bound
+
+
+def scaled(spec, c):
+    """The method for the problem whose spacings are multiplied by c."""
+    if isinstance(spec, Dirichlet):
+        return Dirichlet(c * spec.boundary)
+    if isinstance(spec, Tikhonov):
+        weight = c ** (spec.degree - 1)
+        return Tikhonov(lam=weight * spec.lam, mu=weight * spec.mu_value, degree=spec.degree)
+    return spec
+
+
+@pytest.mark.parametrize("name", METHODS)
+@SETTINGS
+@given(p=problems, c=st.sampled_from([0.25, 3.0, 10.0]))
+def test_scaling_the_spacings_scales_the_surface(name, p, c):
+    rng = np.random.default_rng(p["seed"])
+    spec = make_spec(name, p, rng)
+    zx, zy = rng.standard_normal((2, p["m"], p["n"]))
+    want = c * surface(zx, zy, p, spec)
+    got = surface(zx, zy, dict(p, hx=c * p["hx"], hy=c * p["hy"]), scaled(spec, c))
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)

@@ -44,6 +44,29 @@ def gcv_pick(cache, points):
     return points[int(np.argmin(scores))][0]
 
 
+def per_point_l_curve(cache, grid):
+    """Reference: each L-curve point from tikhonov_coefficients and
+    Factorization.divide, with fresh arrays at every parameter."""
+    points = []
+    for lam in grid:
+        shift = 2.0 * lam * lam
+        coeffs = tikhonov_coefficients(cache, lam)
+        excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
+        rho_sq = cache.misfit0 + excess
+        eta_sq = np.linalg.norm(coeffs) ** 2
+        points.append((float(lam), float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))
+    return points
+
+
+def assert_points_close(got, want, rtol=1e-13):
+    """Same parameters; rho and eta within rtol, relative."""
+    assert len(got) == len(want)
+    for (lam, rho, eta), (lam_w, rho_w, eta_w) in zip(got, want):
+        assert lam == lam_w
+        assert abs(rho - rho_w) <= rtol * rho_w
+        assert abs(eta - eta_w) <= rtol * eta_w
+
+
 def kron_tikhonov_minnorm(g, dx, dy, lam):
     """Oracle: minimum-norm least squares of the stacked degree-0 Tikhonov
     system, eliminated as one dense Kronecker-structured matrix."""
@@ -198,21 +221,39 @@ class TestLCurve:
             assert abs(rho - direct) <= 1e-9 * max(1.0, direct)
 
     @pytest.mark.parametrize("shape,order", [((16, 20), 2), ((33, 24), 4), ((24, 24), 2)])
-    def test_points_equal_the_per_point_formula_bitwise(self, shape, order):
-        # the reference builds each point from tikhonov_coefficients and
-        # Factorization.divide, with fresh arrays at every parameter
+    def test_points_agree_with_the_per_point_formula(self, shape, order):
+        # the sweep sums in blocks, so only rounding separates it from the
+        # per-point recipe, and the corner it picks is the same
         _, g, dx, dy = noisy_problem(*shape, seed=50, order=order)
         cache = build_cache(g, dx, dy)
         grid = default_lambda_grid(cache, 12)
-        want = []
-        for lam in grid:
-            shift = 2.0 * lam * lam
-            coeffs = tikhonov_coefficients(cache, lam)
-            excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
-            rho_sq = cache.misfit0 + excess
-            eta_sq = np.linalg.norm(coeffs) ** 2
-            want.append((float(lam), float(np.sqrt(rho_sq)), float(np.sqrt(eta_sq))))
-        assert l_curve(cache, grid) == want
+        got, want = l_curve(cache, grid), per_point_l_curve(cache, grid)
+        assert_points_close(got, want)
+        assert corner(got) == corner(want)
+
+    @pytest.mark.parametrize("cells", [None, 100], ids=["default-block", "block-of-5"])
+    @pytest.mark.parametrize("data", ["clean", "iid-1%", "iid-5%", "outliers-2%"])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("shape", [(9, 13), (65, 47), (129, 97)],
+                             ids=["9x13", "65x47", "129x97"])
+    def test_blocked_sweep_picks_the_per_point_corner(self, monkeypatch, shape, order, data,
+                                                      cells):
+        # pencils of 117, 3055 and 12513 entries; the default block of 3276
+        # entries leaves one partial block, one partial block, and three full
+        # blocks and a partial one, and blocks of 5 end partial on two of them
+        if cells is not None:
+            monkeypatch.setattr(regparam, "_SWEEP_CELLS", cells)
+        _, g = bump_surface(default_bump_spec(*shape))
+        if data != "clean":
+            kind, level = data.split("-")
+            noise = "iid" if kind == "iid" else "outliers"
+            g = add_noise(g, NoiseSpec(noise, float(level[:-1]) / 100, 57))
+        dx, dy = g.operators(order)
+        cache = build_cache(g, dx, dy)
+        grid = default_lambda_grid(cache, 20)
+        got, want = l_curve(cache, grid), per_point_l_curve(cache, grid)
+        assert_points_close(got, want)
+        assert corner(got) == corner(want)
 
     def test_grid_validation(self):
         cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
@@ -222,6 +263,25 @@ class TestLCurve:
             l_curve(cache, [1.0, 0.5])
         with pytest.raises(ValueError):
             l_curve(cache, [-1.0, 1.0])
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("count", [3.0, 2.5, "5", True], ids=["integral-float", "fraction",
+                                                                  "string", "bool"])
+    def test_count_must_be_an_integer(self, count):
+        cache = build_cache(*noisy_problem(seed=58)[1:])
+        with pytest.raises(ValueError, match="must be an integer"):
+            default_lambda_grid(cache, count)
+
+    def test_numpy_integer_count_is_accepted(self):
+        cache = build_cache(*noisy_problem(seed=58)[1:])
+        grid = default_lambda_grid(cache, np.int64(7))
+        assert np.array_equal(grid, default_lambda_grid(cache, 7))
+
+    def test_too_few_points_refused(self):
+        cache = build_cache(*noisy_problem(seed=58)[1:])
+        with pytest.raises(ValueError, match="at least two"):
+            default_lambda_grid(cache, 1)
 
 
 class TestCorner:

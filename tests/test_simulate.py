@@ -15,6 +15,22 @@ from surfrec import simulate
 from surfrec.simulate import _KNOT_STRIDE, _ks_distance, trial_seed
 
 
+def concatenated_evaluate(z, z_true, g, dx, dy):
+    """Reference: evaluate's scores with fresh arrays, the residual
+    components concatenated and standardized out of place."""
+    zxr = apply_dx(z, dx) - g.zx
+    zyr = apply_dy(z, dy) - g.zy
+    cost = float(np.linalg.norm(zxr) ** 2 + np.linalg.norm(zyr) ** 2)
+    za = z.heights - z.heights.mean()
+    ta = z_true.heights - z_true.heights.mean()
+    denom = np.linalg.norm(ta)
+    rel = float(np.linalg.norm(za - ta) / (denom if denom > 0 else 1.0))
+    res = np.concatenate([zxr.ravel(), zyr.ravel()])
+    sd = res.std()
+    ks = _ks_distance((res - res.mean()) / sd) if sd > 0 else 0.0
+    return simulate.TrialMetrics(cost_residual=cost, rel_error=rel, ks_statistic=ks)
+
+
 class TestBumpSurface:
     def test_gradient_vanishes_at_bump_centre(self):
         spec = BumpSurfaceSpec(
@@ -149,6 +165,29 @@ class TestEvaluate:
         assert metrics.rel_error <= 1e-10
         assert metrics.cost_residual <= 1e-18
         assert metrics.ks_statistic >= 0.0
+
+    @pytest.mark.parametrize("shape,hx,hy,order", [
+        ((9, 13), 1.0, 1.0, 2), ((24, 24), 0.7, 0.7, 4), ((65, 47), 0.7, 1.3, 4),
+        ((128, 96), 1.3, 0.7, 2),
+    ])
+    @pytest.mark.parametrize("level", [0.0, 0.01, 0.2])
+    def test_metrics_equal_the_concatenated_recipe_bitwise(self, shape, hx, hy, order, level):
+        z_true, g = bump_surface(default_bump_spec(*shape))
+        g = add_noise(GradientField(g.zx, g.zy, hx, hy), NoiseSpec("iid", level, 59))
+        z_true = Surface(z_true.heights, hx, hy)
+        dx, dy = g.operators(order)
+        for z in (reconstruct(g, dx, dy, Gls()), z_true):
+            assert evaluate(z, z_true, g, dx, dy) == concatenated_evaluate(z, z_true, g, dx, dy)
+
+    def test_zero_residual_scores_zero_like_the_recipe(self):
+        # a plane differentiates exactly at order 2, so every residual is 0
+        # and its standard deviation too
+        z = Surface(np.add.outer(0.5 * np.arange(9.0), np.arange(12.0)))
+        g = GradientField(np.ones((9, 12)), np.full((9, 12), 0.5))
+        dx, dy = g.operators(2)
+        metrics = evaluate(z, z, g, dx, dy)
+        assert metrics == concatenated_evaluate(z, z, g, dx, dy)
+        assert metrics == simulate.TrialMetrics(0.0, 0.0, 0.0)
 
     def test_dimension_check(self):
         z = Surface(np.zeros((4, 4)))
