@@ -20,7 +20,7 @@ import numpy as np
 
 from . import regparam, simulate
 from .basis import make_basis
-from .diffops import GradientField, Surface, diff_matrix
+from .diffops import GradientField, Surface
 from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError
 from .gridio import atomic_write, read_grid, write_grid
 from .methods import (
@@ -228,8 +228,7 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
     for size in sizes:
         g = GradientField(rng.standard_normal((size, size)),
                           rng.standard_normal((size, size)))
-        dx = diff_matrix(size, 1.0, order)
-        dy = diff_matrix(size, 1.0, order)
+        dx, dy = g.operators(order)
         for name in methods:
             spec = _bench_spec(name, g)
             simulate.run_method(g, dx, dy, spec)  # warm-up, untimed

@@ -1,9 +1,10 @@
-"""Dense finite-difference differentiation matrices and grid containers.
+"""Finite-difference differentiation operators and grid containers.
 
-The operators use centered stencils in the interior and one-sided stencils of
-the *same* accuracy order at the boundary rows, so the whole matrix is
-uniformly second or fourth order accurate.  Every operator annihilates the
-constant vector (rows sum to zero) and has a one-dimensional null space, which
+An operator is the value (n, h, order) with a derived, read-only dense
+matrix: centered stencils in the interior and one-sided stencils of the
+*same* accuracy order at the boundary rows, so the whole matrix is uniformly
+second or fourth order accurate.  Every operator annihilates the constant
+vector (rows sum to zero) and has a one-dimensional null space, which
 downstream solvers rely on.
 
 Grids follow the convention: row index runs along y, column index along x.
@@ -43,15 +44,39 @@ def _stencil_matrix(n: int, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffMatrix:
-    """Dense n-by-n differentiation operator on n uniformly spaced nodes."""
+    """Differentiation operator on n nodes with uniform spacing h.
 
-    entries: np.ndarray
+    (n, h, order) is the whole state, compared and hashed: an integer n of
+    at least order + 1, an order of exactly 2 or 4 and a finite positive h.
+    ``entries`` is the dense matrix derived from them once, read-only, with
+    the stencils that :meth:`left_product` applies (two boundary rows per
+    end for order 4, one-sided and of the same order as the interior).
+    """
+
+    n: int
     h: float
-    order: int
+    order: int = 2
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    def __post_init__(self):
+        n, h, order = self.n, self.h, self.order
+        for name, value in (("node count", n), ("order", order)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if order not in _ORDERS:
+            raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
+        if not np.isscalar(h):
+            raise ValueError("node spacing must be a positive scalar (uniform spacing only)")
+        h = _check_spacing("node spacing", h)
+        if n < order + 1:
+            raise DimensionError(f"order-{order} operator needs at least {order + 1} nodes, got {n}")
+        entries = _stencil_matrix(int(n), order) / h
+        entries.flags.writeable = False
+        for name, value in (("n", int(n)), ("h", h), ("order", int(order)), ("entries", entries)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copies and pickles carry the three fields and rebuild the matrix
+        return DiffMatrix, (self.n, self.h, self.order)
 
     def left_product(self, mat: np.ndarray) -> np.ndarray:
         """entries @ mat, evaluated by the stencils in O(rows) per column.
@@ -81,24 +106,7 @@ class DiffMatrix:
         return out
 
 
-def diff_matrix(n: int, h: float, order: int = 2) -> DiffMatrix:
-    """Build the dense differentiation matrix for n nodes with spacing h.
-
-    Interior rows hold the centered stencil of the requested order; the
-    boundary rows (two per end for order 4) hold the one-sided and offset
-    stencils of the same order, so accuracy is uniform over all nodes.
-    Non-uniform node spacing is not supported.
-    """
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-    if not np.isscalar(h):
-        raise ValueError("node spacing must be a positive scalar (uniform spacing only)")
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"node spacing must be positive, got {h!r}")
-    if n < order + 1:
-        raise DimensionError(f"order-{order} operator needs at least {order + 1} nodes, got {n}")
-    return DiffMatrix(entries=_stencil_matrix(int(n), order) / h, h=h, order=order)
+diff_matrix = DiffMatrix  # the constructor's function name
 
 
 def _grid(z) -> np.ndarray:

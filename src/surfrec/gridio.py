@@ -46,17 +46,42 @@ def read_grid(path) -> GridData:
 
 
 def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
-    """Write a grid atomically; format chosen by extension (.csv vs binary)."""
+    """Write a grid atomically; format chosen by extension (.csv vs binary).
+
+    A grid that :func:`read_grid` would refuse (empty, non-finite, or for
+    binary files above the cell cap or with spacings that are not positive
+    and finite) raises :class:`FormatError` before any file is created.
+    """
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
         raise FormatError(f"grids must be 2-d, got shape {values.shape}")
+    _check_values(path, values)
     if _is_csv(path):
         lines = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
         atomic_write(path, (lines + "\n").encode())
     else:
         m, n = values.shape
-        header = _HEADER.pack(MAGIC, m, n, float(hx), float(hy))
+        hx, hy = float(hx), float(hy)
+        _check_header(path, m, n, hx, hy)
+        header = _HEADER.pack(MAGIC, m, n, hx, hy)
         atomic_write(path, header + values.astype("<f8").tobytes())
+
+
+def _check_header(path, m: int, n: int, hx: float, hy: float) -> None:
+    """The binary header's rules: a non-empty size within the cell cap and
+    positive, finite node spacings."""
+    if m == 0 or n == 0 or m * n > _MAX_CELLS:
+        raise FormatError(f"{path}: implausible grid dimensions {m}x{n}")
+    if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0 and hy > 0):
+        raise FormatError(f"{path}: node spacings must be positive and finite")
+
+
+def _check_values(path, values: np.ndarray) -> None:
+    """Both formats' rules for the values: at least one, all finite."""
+    if values.size == 0:
+        raise FormatError(f"{path}: grid of shape {values.shape} holds no values")
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: grid contains non-finite values")
 
 
 def atomic_write(path, payload: bytes) -> None:
@@ -80,10 +105,7 @@ def _read_binary(path) -> GridData:
     magic, m, n, hx, hy = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if m == 0 or n == 0 or m * n > _MAX_CELLS:
-        raise FormatError(f"{path}: implausible grid dimensions {m}x{n}")
-    if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0 and hy > 0):
-        raise FormatError(f"{path}: node spacings must be positive and finite")
+    _check_header(path, m, n, hx, hy)
     expected = _HEADER.size + 8 * m * n
     if len(raw) < expected:
         raise FormatError(
@@ -93,8 +115,7 @@ def _read_binary(path) -> GridData:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(m, n).copy()
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: grid contains non-finite values")
+    _check_values(path, values)
     return GridData(values=values, hx=hx, hy=hy)
 
 
@@ -108,8 +129,7 @@ def _read_csv(path) -> GridData:
         # the row loop parses the same grid and raises its own error for a
         # bad file, naming the first bad row
         values = _read_csv_rows(path)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: grid contains non-finite values")
+    _check_values(path, values)
     return GridData(values=values, hx=None, hy=None)
 
 

@@ -192,13 +192,11 @@ def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
 
 
 def _build_gls(g, dx, dy):
-    # bitwise equal operators (a square grid with equal spacing and one
-    # stencil order) pass one block for both axes, so factor forms one Gram
+    # equal operators (a square grid with equal spacing and one stencil
+    # order) pass one block for both axes, so factor forms one Gram
     a = dy.entries
-    system = SylvesterSystem(
-        a=a, b=a if np.array_equal(dx.entries, dy.entries) else dx.entries, f=g.zy, g=g.zx,
-        u=np.ones(g.m), v=np.ones(g.n),
-    )
+    system = SylvesterSystem(a=a, b=a if dx == dy else dx.entries, f=g.zy, g=g.zx,
+                             u=np.ones(g.m), v=np.ones(g.n))
     return system, lambda phi: phi
 
 
@@ -215,9 +213,8 @@ def _build_spectral(g, dx, dy, spec: Spectral):
         v = np.zeros(bx.p)
         v[bx.columns.index(0)] = 1.0
     a = dy.left_product(by.entries)
-    # the stencil product reads only h and the order, so equal spacings,
-    # orders and bases give one operator block for both axes
-    same = dx.h == dy.h and dx.order == dy.order and np.array_equal(by.entries, bx.entries)
+    # equal operators and bases give one operator block for both axes
+    same = dx == dy and np.array_equal(by.entries, bx.entries)
     system = SylvesterSystem(
         a=a,
         b=a if same else dx.left_product(bx.entries),
@@ -246,10 +243,7 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
     z0, f, gx = _a_priori(g, dx, dy, spec.reference, "reference surface")
     # equal operators and a penalty that weighs both axes alike (any degree-0
     # one, or lam = mu) give equal blocks: build one and pass it as both
-    same = np.array_equal(dx.entries, dy.entries) and (k == 0 or lam == mu)
-    if k == 2:
-        # the stencil product reads h and the order as well as the entries
-        same = same and dx.h == dy.h and dx.order == dy.order
+    same = dx == dy and (k == 0 or lam == mu)
     a, shift = dy.entries, 0.0
     b = a if same else dx.entries
     if k == 0:
@@ -276,16 +270,13 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
 
 
 def _build_dirichlet(g, dx, dy, spec: Dirichlet):
-    if g.m < 3 or g.n < 3:
-        raise DimensionError("Dirichlet reconstruction needs an interior, so m, n >= 3")
     if spec.boundary is None:
         raise DimensionError("Dirichlet reconstruction needs a boundary grid")
     zb, f, gx = _a_priori(g, dx, dy, spec.boundary, "boundary grid")
     # interior selection realized by index slicing rather than explicit
     # permutation matrices
     a = dy.entries[:, 1:-1]
-    system = SylvesterSystem(a=a, b=a if np.array_equal(dx.entries, dy.entries)
-                             else dx.entries[:, 1:-1],
+    system = SylvesterSystem(a=a, b=a if dx == dy else dx.entries[:, 1:-1],
                              f=f[:, 1:-1], g=gx[1:-1, :])
 
     def embed(interior):
@@ -345,9 +336,9 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     by the same factors; its ``cost`` is the stacked cost less the
     Phi-independent constant mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.
     Degree 2 stacks the penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.
-    When both axes would get bitwise equal blocks (equal operators, as on a
-    square grid with equal spacing, and for Tikhonov degrees 1 and 2 also
-    lam = mu), one array is passed as both ``a`` and ``b``.
+    When both axes would get equal blocks (equal operators, as on a square
+    grid with equal spacing, and for Tikhonov degrees 1 and 2 also lam = mu),
+    one array is passed as both ``a`` and ``b``.
     """
     return _build(g, dx, dy, spec)[0]
 

@@ -1,7 +1,33 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from surfrec import DimensionError, GradientField, Surface, apply_dx, apply_dy, diff_matrix
+from surfrec import (
+    DiffMatrix, DimensionError, GradientField, Surface, apply_dx, apply_dy, diff_matrix,
+)
+
+
+def reference_entries(n, h, order):
+    """The stencil matrix written out row by row: centered rows inside, one-sided
+    and offset rows of the same order at the ends, divided by h."""
+    if order == 2:
+        ends, centre, scale = [(-3, 4, -1)], (-1, 0, 1), 2.0
+    else:
+        ends, centre, scale = [(-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)], (1, -8, 0, 8, -1), 12.0
+    d = np.zeros((n, n))
+    width, half = len(ends[0]), len(centre) // 2
+    for i in range(n):
+        if i < len(ends):
+            d[i, :width] = np.array(ends[i]) / scale
+        elif i >= n - len(ends):
+            # the end rows mirrored and negated: J D J = -D
+            d[i, -width:] = -np.array(ends[n - 1 - i][::-1]) / scale
+        else:
+            d[i, i - half:i + half + 1] = np.array(centre) / scale
+    return d / h
 
 
 class TestDiffMatrix:
@@ -84,6 +110,79 @@ class TestDiffMatrix:
             diff_matrix(5, np.array([1.0, 2.0]), 2)
         with pytest.raises(ValueError):
             diff_matrix(5, 1.0, 3)
+
+
+class TestOperatorValue:
+    """(n, h, order) is the operator's whole state."""
+
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, np.float64(6.0), "5"],
+                             ids=["fraction", "float", "bool", "numpy-float", "str"])
+    def test_node_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            diff_matrix(n, 1.0, 2)
+
+    @pytest.mark.parametrize("order", [2.0, 4.0, True, np.float64(2.0), "2"],
+                             ids=["float-2", "float-4", "bool", "numpy-float", "str"])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            diff_matrix(5, 1.0, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 3, 6])
+    def test_order_must_be_two_or_four(self, order):
+        with pytest.raises(ValueError, match="order must be one of"):
+            diff_matrix(9, 1.0, order)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_order_four_needs_five_nodes_at_construction(self, n):
+        with pytest.raises(DimensionError, match="at least 5 nodes"):
+            DiffMatrix(n, 1.0, 4)
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        d = diff_matrix(np.int64(6), np.float32(0.5), np.int32(4))
+        assert (type(d.n), type(d.h), type(d.order)) == (int, float, int)
+        assert d == diff_matrix(6, 0.5, 4)
+
+    def test_fields_are_the_whole_state(self):
+        assert [f.name for f in dataclasses.fields(DiffMatrix)] == ["n", "h", "order"]
+        with pytest.raises(TypeError):
+            DiffMatrix(entries=np.zeros((5, 5)), h=1.0, order=2)
+        d = diff_matrix(5, 1.0, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.entries = np.zeros((5, 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.h = 2.0
+
+    def test_entries_are_read_only(self):
+        d = diff_matrix(5, 1.0, 2)
+        assert not d.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d.entries[0, 0] = 99.0
+        assert d.entries[0, 0] == -1.5
+
+    def test_equality_and_hash_follow_the_three_fields(self):
+        d = diff_matrix(8, 0.5, 2)
+        twin = DiffMatrix(8, 0.5, 2)
+        assert d is not twin and d == twin and hash(d) == hash(twin)
+        assert len({d, twin}) == 1
+        others = [diff_matrix(9, 0.5, 2), diff_matrix(8, 0.25, 2), diff_matrix(8, 0.5, 4)]
+        assert all(d != other for other in others)
+        assert len({d, *others}) == 4
+
+    def test_replace_and_copies_rebuild_the_matrix(self):
+        d = diff_matrix(9, 0.5, 4)
+        rescaled = dataclasses.replace(d, h=0.25)
+        assert np.array_equal(rescaled.entries, reference_entries(9, 0.25, 4))
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d and twin.entries is not d.entries
+            assert np.array_equal(twin.entries, d.entries)
+            assert not twin.entries.flags.writeable
+
+    @pytest.mark.parametrize("h", [0.1, 0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("n,order", [
+        (n, order) for order in (2, 4) for n in (3, 4, 5, 6, 7, 64, 511, 512) if n > order
+    ])
+    def test_entries_are_the_stencil_formula_bitwise(self, n, order, h):
+        assert np.array_equal(diff_matrix(n, h, order).entries, reference_entries(n, h, order))
 
 
 class TestApply:

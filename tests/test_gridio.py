@@ -124,3 +124,52 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_grid(path, np.zeros((3, 3)))  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["grid.g2s"]
     assert np.array_equal(read_grid(path).values, np.zeros((3, 3)))
+
+
+def _raw_file(path, values, hx, hy):
+    """The bytes the writer would produce, written without its checks."""
+    if path.suffix == ".csv":
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in values))
+    else:
+        m, n = values.shape
+        path.write_bytes(struct.pack("<4sIIdd", MAGIC, m, n, hx, hy)
+                         + values.astype("<f8").tobytes())
+
+
+REFUSED_WRITES = {
+    "nan": (np.array([[1.0, np.nan], [2.0, 3.0]]), 1.0),
+    "inf": (np.array([[1.0, 2.0], [-np.inf, 3.0]]), 1.0),
+    "negative-spacing": (np.ones((2, 2)), -1.0),
+    "empty": (np.zeros((0, 3)), 1.0),
+}
+
+
+# CSV files carry no spacings, so only binary files can hold a bad one
+@pytest.mark.parametrize("case,suffix", [
+    (case, suffix) for case in REFUSED_WRITES for suffix in (".g2s", ".csv")
+    if not (case == "negative-spacing" and suffix == ".csv")
+])
+def test_write_refuses_what_read_refuses(tmp_path, case, suffix):
+    values, hx = REFUSED_WRITES[case]
+    # the reader refuses such a file ...
+    raw = tmp_path / "raw" / ("grid" + suffix)
+    raw.parent.mkdir()
+    _raw_file(raw, values, hx, 1.0)
+    with pytest.raises(FormatError):
+        read_grid(raw)
+    # ... so the writer refuses the grid before creating any file, and an
+    # existing file at the target keeps its bytes
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / ("grid" + suffix)
+    write_grid(path, np.ones((2, 2)))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(FormatError):
+        write_grid(path, values, hx=hx)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_csv_ignores_spacings(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_grid(path, np.ones((2, 2)), hx=-1.0)
+    assert np.array_equal(read_grid(path).values, np.ones((2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    CovarianceSet, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
+    CovarianceSet, DiffMatrix, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
     Spectral, SylvesterSystem, Tikhonov, Weighted, apply_dx, apply_dy, assemble,
     cosine_basis, gradient_misfit, gram_basis, make_basis, reconstruct, solve, sym_sqrt,
 )
@@ -269,6 +269,28 @@ class TestAssemble:
         system = assemble(g, dx, dy, Tikhonov(lam=0.3, mu=0.6, degree=degree))
         assert system.b is not system.a
 
+    @pytest.mark.parametrize("spec", SHARED_BLOCK_SPECS + [
+        Tikhonov(lam=0.3, mu=0.6, degree=1), Tikhonov(lam=0.3, mu=0.6, degree=2),
+    ], ids=SHARED_BLOCK_IDS + ["tikhonov-1-unequal", "tikhonov-2-unequal"])
+    @pytest.mark.parametrize("shape,hx,hy,order_y", [
+        ((16, 16), 0.7, 0.7, 2), ((16, 16), 0.7, 0.8, 2), ((16, 17), 0.7, 0.7, 2),
+        ((16, 16), 0.7, 0.7, 4),
+    ], ids=["equal", "spacing", "size", "order"])
+    def test_one_block_exactly_when_the_operators_are_equal(self, spec, shape, hx, hy, order_y):
+        rng = np.random.default_rng(26)
+        g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), hx=hx, hy=hy)
+        # two separately built operators, one from numpy scalars: only
+        # their values decide
+        dx = DiffMatrix(shape[1], hx, 2)
+        dy = DiffMatrix(np.int64(shape[0]), np.float64(hy), np.int64(order_y))
+        if isinstance(spec, Dirichlet):
+            spec = Dirichlet(rng.standard_normal(shape))
+        elif getattr(spec, "reference", None) is not None:
+            spec = dataclasses.replace(spec, reference=rng.standard_normal(shape))
+        alike = not isinstance(spec, Tikhonov) or spec.degree == 0 or spec.lam == spec.mu_value
+        system = assemble(g, dx, dy, spec)
+        assert (system.b is system.a) == (dx == dy and alike)
+
     def test_spectral_size_mismatch(self):
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):
@@ -482,12 +504,10 @@ class TestReconstruct:
             reconstruct(g, dy, dy, Gls())
 
     def test_dirichlet_needs_interior(self):
-        from surfrec import DiffMatrix
+        # a 2-row grid has no interior: no operator on its two nodes exists
         g = GradientField(np.zeros((2, 5)), np.zeros((2, 5)))
-        dx = DiffMatrix(entries=np.zeros((5, 5)), h=1.0, order=2)
-        dy = DiffMatrix(entries=np.zeros((2, 2)), h=1.0, order=2)
         with pytest.raises(DimensionError):
-            reconstruct(g, dx, dy, Dirichlet(np.zeros((2, 5))))
+            reconstruct(g, *g.operators(2), Dirichlet(np.zeros((2, 5))))
 
 
 class TestWeightedOracle:

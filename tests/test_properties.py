@@ -13,7 +13,14 @@ or 4, node spacings in [0.5, 2] and a seed for the random data, then checks:
   the solution with u.T Phi v = 0, and so does the L-curve cache;
 * scale: multiplying both node spacings by c multiplies the surface by c,
   once every height-valued input is scaled by c and a degree-k Tikhonov
-  parameter by c^(k-1), which keeps the penalty's weight.
+  parameter by c^(k-1), which keeps the penalty's weight;
+* polynomial exactness: the gradient of a polynomial of total degree up to
+  the stencil order (2 or 4) gives back the polynomial, up to the pinned
+  constant for GLS and diagonal WLS and outright for Dirichlet with the
+  polynomial's own boundary.
+
+The Haar spectral method runs on grids of 8 or 16 nodes per side, the
+power-of-two sides its basis needs.
 """
 
 import atexit
@@ -29,7 +36,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from surfrec import (
     CovarianceSet, Dirichlet, Gls, GradientField, Spectral, Tikhonov, Weighted, assemble,
-    build_cache, make_basis, reconstruct, reconstruct_from_cache, solve,
+    boundary_frame, build_cache, make_basis, reconstruct, reconstruct_from_cache, solve,
 )
 
 SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -55,8 +62,21 @@ problems = st.fixed_dictionaries({
 # multiples of 0.1 in [-2, 2], so no coefficient is subnormal
 coefficients = st.integers(-20, 20).map(lambda k: k / 10)
 
-METHODS = ["gls", "spectral", "spectral-gram", "spectral-band", "dirichlet", "weighted",
-           "tikhonov-0", "tikhonov-1", "tikhonov-2"]
+METHODS = ["gls", "spectral", "spectral-gram", "spectral-haar", "spectral-band", "dirichlet",
+           "weighted", "weighted-dense", "tikhonov-0", "tikhonov-1", "tikhonov-2"]
+
+
+def fit(name, p):
+    """p with grid sides of 8 or 16 nodes for the Haar basis, else p itself."""
+    if name != "spectral-haar":
+        return p
+    return dict(p, m=8 if p["m"] < 16 else 16, n=8 if p["n"] < 16 else 16)
+
+
+def dense_covariance(rng, k):
+    """A well-conditioned SPD k-by-k matrix with no zero entries."""
+    a = rng.standard_normal((k, k))
+    return a @ a.T / k + 0.5 * np.eye(k)
 
 
 def make_spec(name, p, rng):
@@ -65,7 +85,7 @@ def make_spec(name, p, rng):
     if name == "gls":
         return Gls()
     if name.startswith("spectral"):
-        family = "gram" if name == "spectral-gram" else "cosine"
+        family = {"spectral-gram": "gram", "spectral-haar": "haar"}.get(name, "cosine")
         by = make_basis(family, m, math.ceil(m / 2))
         bx = make_basis(family, n, math.ceil(n / 2))
         if name == "spectral-band":
@@ -74,10 +94,13 @@ def make_spec(name, p, rng):
         return Spectral(by, bx)
     if name == "dirichlet":
         return Dirichlet(rng.standard_normal((m, n)))
-    if name == "weighted":
-        diag = {"xx": n, "xy": m, "yx": n, "yy": m}
+    if name.startswith("weighted"):
+        sizes = {"xx": n, "xy": m, "yx": n, "yy": m}
+        if name == "weighted-dense":
+            return Weighted(CovarianceSet(**{k: dense_covariance(rng, size)
+                                             for k, size in sizes.items()}))
         return Weighted(CovarianceSet(**{k: np.diag(rng.uniform(0.2, 3.0, size))
-                                         for k, size in diag.items()}))
+                                         for k, size in sizes.items()}))
     return Tikhonov(lam=p["lam"], mu=p["mu"], degree=int(name[-1]))
 
 
@@ -106,6 +129,7 @@ def surface(zx, zy, p, spec, swap=False):
 @SETTINGS
 @given(p=problems, a=coefficients, b=coefficients)
 def test_linear_in_the_gradient(name, p, a, b):
+    p = fit(name, p)
     rng = np.random.default_rng(p["seed"])
     spec = make_spec(name, p, rng)
     if isinstance(spec, Dirichlet):
@@ -123,6 +147,7 @@ def test_linear_in_the_gradient(name, p, a, b):
 @SETTINGS
 @given(p=problems)
 def test_swapping_the_axes_transposes_the_surface(name, p):
+    p = fit(name, p)
     rng = np.random.default_rng(p["seed"])
     spec = make_spec(name, p, rng)
     zx, zy = rng.standard_normal((2, p["m"], p["n"]))
@@ -141,6 +166,7 @@ PINNED = [name for name in METHODS if name not in ("dirichlet", "spectral-band")
 @SETTINGS
 @given(p=problems)
 def test_pinned_solutions_meet_the_null_contract(name, p):
+    p = fit(name, p)
     rng = np.random.default_rng(p["seed"])
     g = GradientField(*rng.standard_normal((2, p["m"], p["n"])), p["hx"], p["hy"])
     dx, dy = g.operators(p["order"])
@@ -170,9 +196,45 @@ def scaled(spec, c):
 @SETTINGS
 @given(p=problems, c=st.sampled_from([0.25, 3.0, 10.0]))
 def test_scaling_the_spacings_scales_the_surface(name, p, c):
+    p = fit(name, p)
     rng = np.random.default_rng(p["seed"])
     spec = make_spec(name, p, rng)
     zx, zy = rng.standard_normal((2, p["m"], p["n"]))
     want = c * surface(zx, zy, p, spec)
     got = surface(zx, zy, dict(p, hx=c * p["hx"], hy=c * p["hy"]), scaled(spec, c))
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def polynomial(p, rng):
+    """(z, zx, zy) of a random polynomial of total degree up to the stencil
+    order, in coordinates centred on the grid; each monomial's coefficient is
+    scaled so that its term stays within a standard normal draw."""
+    x = p["hx"] * (np.arange(p["n"]) - (p["n"] - 1) / 2)
+    y = p["hy"] * (np.arange(p["m"]) - (p["m"] - 1) / 2)
+    xs, ys = np.meshgrid(x, y)
+    reach = max(x[-1], y[-1])
+    z, zx, zy = np.zeros((3, p["m"], p["n"]))
+    for i in range(p["order"] + 1):
+        for j in range(p["order"] + 1 - i):
+            c = rng.standard_normal() / reach ** (i + j)
+            z += c * xs**i * ys**j
+            if i:
+                zx += c * i * xs ** (i - 1) * ys**j
+            if j:
+                zy += c * j * xs**i * ys ** (j - 1)
+    return z, zx, zy
+
+
+@pytest.mark.parametrize("name", ["gls", "weighted", "dirichlet"])
+@SETTINGS
+@given(p=problems)
+def test_polynomials_within_the_stencil_order_are_recovered(name, p):
+    rng = np.random.default_rng(p["seed"])
+    z, zx, zy = polynomial(p, rng)
+    if name == "dirichlet":
+        got = surface(zx, zy, p, Dirichlet(boundary_frame(z)))
+    else:
+        # the pinned solution differs from z by a constant
+        got = surface(zx, zy, p, make_spec(name, p, rng))
+        got, z = got - got.mean(), z - z.mean()
+    assert np.linalg.norm(got - z) <= 1e-9 * np.linalg.norm(z)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    DiffMatrix, DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
+    DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
     SingularSystemError, SpectralCache, Surface, Tikhonov, build_cache, bump_surface, corner,
     default_bump_spec, default_lambda_grid, diff_matrix, evaluate, filter_factors,
     gradient_misfit, l_curve, lcurve_reconstruct, read_grid, reconstruct,
@@ -10,6 +10,7 @@ from surfrec import (
 )
 from surfrec.cli import main
 from surfrec.simulate import NoiseSpec, add_noise, run_method, trial_seed
+from surfrec.sylvester import SylvesterSystem, factor, solve
 
 
 def noisy_problem(m=16, n=20, seed=41, level=0.2, order=2):
@@ -110,18 +111,18 @@ class TestBuildCache:
             build_cache(g, dx, dx)
 
     def test_rank_deficient_operator_refused(self):
-        # an operator with a two-dimensional null space leaves the surface
-        # undetermined beyond its constant; the cache refuses it as the
-        # GLS reconstruction does
+        # a block with a two-dimensional null space leaves the surface
+        # undetermined beyond its constant; factor, which the cache and the
+        # GLS reconstruction both go through, refuses it, and so does solve
         d = diff_matrix(6, 1.0, 2).entries
         extra = np.arange(6.0) - 2.5
-        d = DiffMatrix(entries=d @ (np.eye(6) - np.outer(extra, extra) / (extra @ extra)),
-                       h=1.0, order=2)
+        d = d @ (np.eye(6) - np.outer(extra, extra) / (extra @ extra))
         rng = np.random.default_rng(45)
-        g = GradientField(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
-        for call in (lambda: reconstruct(g, d, d, Gls()), lambda: build_cache(g, d, d)):
+        system = SylvesterSystem(a=d, b=d, f=rng.standard_normal((6, 6)),
+                                 g=rng.standard_normal((6, 6)), u=np.ones(6), v=np.ones(6))
+        for call in (factor, solve):
             with pytest.raises(SingularSystemError, match="null space is larger than one"):
-                call()
+                call(system)
 
     def test_zero_parameter_reproduces_gls(self):
         _, g, dx, dy = noisy_problem(seed=42)
