@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import whole_number
+
 
 @dataclass(frozen=True)
 class BasisSet:
@@ -70,18 +72,9 @@ class BasisSet:
         return self.subset(keep)
 
 
-def _count(name: str, value) -> int:
-    """value as an int, refusing bools and non-integral numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_counts(n: int, p: int) -> tuple[int, int]:
-    n, p = _count("node count", n), _count("basis count", p)
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    if not 1 <= p <= n:
+    n, p = whole_number("node count", n, 1), whole_number("basis count", p, 1)
+    if p > n:
         raise ValueError(f"basis count must satisfy 1 <= p <= {n}, got {p}")
     return n, p
 

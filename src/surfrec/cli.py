@@ -21,7 +21,7 @@ import numpy as np
 from . import regparam, simulate
 from .basis import make_basis
 from .diffops import GradientField, Surface
-from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError
+from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError, whole_number
 from .gridio import atomic_write, read_grid, write_grid
 from .methods import (
     CovarianceSet, Dirichlet, Gls, Spectral, Tikhonov, Weighted,
@@ -138,8 +138,7 @@ def _write_csv_atomic(path, header, rows) -> None:
 
 
 def _cmd_lcurve(args) -> int:
-    if args.points < 2:  # refused before any grid is read
-        raise ValueError(f"lcurve needs --points of at least 2, got {args.points}")
+    whole_number("--points", args.points, 2)  # refused before any grid is read
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     cache = regparam.build_cache(g, dx, dy)
@@ -218,11 +217,13 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
     Direct solvers run in data-independent time, so random input is as good
     as any.  Each cell reports the mean of `repeats` runs after a warm-up.
     """
-    if repeats < 1:
-        raise ValueError(f"bench needs at least one repeat, got {repeats}")
+    whole_number("repeats", repeats, 1)
+    whole_number("seed", seed, 0)
     sizes = list(sizes)
     if not sizes:
         raise ValueError("bench needs at least one grid size")
+    for size in sizes:
+        whole_number("grid size", size, 1)
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:

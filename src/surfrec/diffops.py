@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, finite_real, whole_number
 
 _ORDERS = (2, 4)
 
@@ -58,20 +58,15 @@ class DiffMatrix:
     order: int = 2
 
     def __post_init__(self):
-        n, h, order = self.n, self.h, self.order
-        for name, value in (("node count", n), ("order", order)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        n, order = whole_number("node count", self.n), whole_number("order", self.order)
         if order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-        if not np.isscalar(h):
-            raise ValueError("node spacing must be a positive scalar (uniform spacing only)")
-        h = _check_spacing("node spacing", h)
+        h = finite_real("node spacing", self.h, positive=True)
         if n < order + 1:
             raise DimensionError(f"order-{order} operator needs at least {order + 1} nodes, got {n}")
-        entries = _stencil_matrix(int(n), order) / h
+        entries = _stencil_matrix(n, order) / h
         entries.flags.writeable = False
-        for name, value in (("n", int(n)), ("h", h), ("order", int(order)), ("entries", entries)):
+        for name, value in (("n", n), ("h", h), ("order", order), ("entries", entries)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
@@ -142,13 +137,6 @@ def _check_grid(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_spacing(name: str, value: float) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Surface:
     """Height grid with node spacings; rows run along y, columns along x."""
@@ -159,8 +147,8 @@ class Surface:
 
     def __post_init__(self):
         object.__setattr__(self, "heights", _check_grid("heights", self.heights))
-        object.__setattr__(self, "hx", _check_spacing("hx", self.hx))
-        object.__setattr__(self, "hy", _check_spacing("hy", self.hy))
+        object.__setattr__(self, "hx", finite_real("hx", self.hx, positive=True))
+        object.__setattr__(self, "hy", finite_real("hy", self.hy, positive=True))
 
     @property
     def m(self) -> int:
@@ -191,8 +179,8 @@ class GradientField:
             raise DimensionError(f"zx shape {zx.shape} does not match zy shape {zy.shape}")
         object.__setattr__(self, "zx", zx)
         object.__setattr__(self, "zy", zy)
-        object.__setattr__(self, "hx", _check_spacing("hx", self.hx))
-        object.__setattr__(self, "hy", _check_spacing("hy", self.hy))
+        object.__setattr__(self, "hx", finite_real("hx", self.hx, positive=True))
+        object.__setattr__(self, "hy", finite_real("hy", self.hy, positive=True))
 
     @property
     def m(self) -> int:

@@ -24,17 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSet
-from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
-from .errors import DimensionError
+from .diffops import DiffMatrix, GradientField, Surface, _check_grid, apply_dx, apply_dy
+from .errors import DimensionError, finite_real, whole_number
 from .sylvester import SylvesterSystem, require_positive_definite, solve, sym_sqrt
-
-
-def check_parameter(name: str, value: float) -> None:
-    """Refuse a regularization parameter that is negative or not finite."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(
-            f"regularization parameter {name} must be finite and non-negative, got {value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -83,10 +75,10 @@ class Tikhonov:
     reference: np.ndarray | None = None
 
     def __post_init__(self):
-        check_parameter("lam", self.lam)
+        finite_real("regularization parameter lam", self.lam)
         if self.mu is not None:
-            check_parameter("mu", self.mu)
-        if self.degree not in (0, 1, 2):
+            finite_real("regularization parameter mu", self.mu)
+        if whole_number("degree", self.degree) not in (0, 1, 2):
             raise ValueError(f"degree must be 0, 1, or 2, got {self.degree!r}")
 
     @property
@@ -233,8 +225,7 @@ def _a_priori(g, dx, dy, grid, name: str):
     z0 = np.asarray(grid, dtype=float)
     if z0.shape != (g.m, g.n):
         raise DimensionError(f"{name} must be {g.m}x{g.n}, got {z0.shape}")
-    if not np.isfinite(z0).all():
-        raise ValueError(f"{name} contains non-finite values")
+    _check_grid(name, z0)
     return z0, g.zy - apply_dy(z0, dy), g.zx - apply_dx(z0, dx)
 
 
@@ -297,9 +288,14 @@ def _build_weighted(g, dx, dy, spec: Weighted):
     sqrt_yx, isqrt_yx = cov.roots["yx"]
     _, isqrt_yy = cov.roots["yy"]
     _, isqrt_xx = cov.roots["xx"]
+    # equal operators and covariances (yy as xx, xy as yx) give one block
+    # for both axes; a diagonal covariance's roots are 1-d
+    same = (dx == dy and np.array_equal(isqrt_yy, isqrt_xx)
+            and np.array_equal(sqrt_xy, sqrt_yx))
+    a = _sandwich(isqrt_yy, dy.entries, sqrt_xy)
     system = SylvesterSystem(
-        a=_sandwich(isqrt_yy, dy.entries, sqrt_xy),
-        b=_sandwich(isqrt_xx, dx.entries, sqrt_yx),
+        a=a,
+        b=a if same else _sandwich(isqrt_xx, dx.entries, sqrt_yx),
         f=_sandwich(isqrt_yy, g.zy, isqrt_yx),
         g=_sandwich(isqrt_xy, g.zx, isqrt_xx),
         u=_sandwich(isqrt_xy, np.ones((g.m, 1))),
@@ -337,8 +333,9 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     Phi-independent constant mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.
     Degree 2 stacks the penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.
     When both axes would get equal blocks (equal operators, as on a square
-    grid with equal spacing, and for Tikhonov degrees 1 and 2 also lam = mu),
-    one array is passed as both ``a`` and ``b``.
+    grid with equal spacing, for Tikhonov degrees 1 and 2 also lam = mu, and
+    for weighted also yy = xx and xy = yx), one array is passed as both
+    ``a`` and ``b``.
     """
     return _build(g, dx, dy, spec)[0]
 

@@ -15,13 +15,13 @@ parameter at the L-curve corner and its surface; the Monte-Carlo harness
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffops import DiffMatrix, GradientField, Surface
-from .methods import Gls, assemble, check_parameter, gradient_misfit
+from .errors import finite_real, whole_number
+from .methods import Gls, assemble, gradient_misfit
 from .sylvester import Factorization, factor
 
 # doubles in the (parameter x pencil entry) block of L-curve weights: 512 KiB
@@ -77,7 +77,7 @@ def tikhonov_coefficients(cache: SpectralCache, lam: float) -> np.ndarray:
     zero, as in :func:`~surfrec.sylvester.solve`, so the two solution paths
     agree.
     """
-    check_parameter("lam", lam)
+    finite_real("regularization parameter lam", lam)
     return cache.factors.divide(cache.rhs_t, 2.0 * lam * lam)
 
 
@@ -88,7 +88,7 @@ def filter_factors(cache: SpectralCache, lam: float) -> np.ndarray:
     and fall toward 0 as lam grows.  The doubly-null entry is reported as 0,
     consistent with its coefficient being pinned.
     """
-    check_parameter("lam", lam)
+    finite_real("regularization parameter lam", lam)
     return cache.factors.divide(cache.factors.pencil, 2.0 * lam * lam)
 
 
@@ -116,15 +116,11 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
     array, sized to stay in cache, whose products with the two give both
     sums.  The pinned entry's divisor is inf, so it weighs nothing.
     """
-    lams = [float(v) for v in lam_grid]
+    lams = [finite_real("parameter grid lam", v, positive=True) for v in lam_grid]
     if not lams:
         raise ValueError("the parameter grid must not be empty")
-    if not all(math.isfinite(v) and v > 0 for v in lams) or any(
-        b <= a for a, b in zip(lams, lams[1:])
-    ):
-        raise ValueError(
-            "the parameter grid lam must be finite, positive and strictly ascending"
-        )
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("the parameter grid lam must be strictly ascending")
     shifts = 2.0 * np.square(lams)
     pencil = cache.factors.divisor().ravel()
     numerators = np.empty((2, pencil.size))  # R'^2 and R'^2 / d
@@ -151,11 +147,9 @@ def default_lambda_grid(cache: SpectralCache, count: int = 20) -> np.ndarray:
 
     The span brackets the filter-factor transition region for typical
     operators; it is a practical default, not a tuned constant.  ``count``
-    is a whole number (an int or a numpy integer, not a bool or a float).
+    is a whole number of at least two.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"grid size must be an integer, got {count!r}")
-    if count < 2:
+    if whole_number("grid size", count) < 2:
         raise ValueError("grid needs at least two points")
     # eigh can return the null eigenvalue pair slightly below zero
     scale = float(np.median(np.sqrt(np.maximum(cache.operator_eigenvalues(), 0.0))))
@@ -213,10 +207,11 @@ class LCurveTikhonov:
 
     def __post_init__(self):
         # a float count would only fail inside the sweep, after the factorization
-        if not isinstance(self.points, (int, np.integer)) or self.points < 5:
-            raise ValueError(
-                f"an L-curve corner needs a whole number of at least 5 points, got {self.points}"
-            )
+        try:
+            whole_number("points", self.points, 5)
+        except ValueError:
+            raise ValueError("an L-curve needs a whole number of at least 5 points, "
+                             f"got {self.points!r}") from None
 
 
 def lcurve_reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import regparam
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
-from .errors import DimensionError, SizeGuardError
+from .errors import DimensionError, SizeGuardError, finite_real, whole_number
 from .methods import CovarianceSet, MethodSpec, gradient_misfit, reconstruct
 from .regparam import LCurveTikhonov
 
@@ -63,7 +63,7 @@ class BumpSurfaceSpec:
     extent: tuple[float, float, float, float] = (-1.0, 1.0, -1.0, 1.0)  # x0, x1, y0, y1
 
     def __post_init__(self):
-        if self.rows < 2 or self.cols < 2:
+        if whole_number("rows", self.rows) < 2 or whole_number("cols", self.cols) < 2:
             raise DimensionError("bump surface needs at least a 2x2 grid")
         x0, x1, y0, y1 = self.extent
         if not (x1 > x0 and y1 > y0):
@@ -125,8 +125,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {_NOISE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.level) and self.level >= 0):
-            raise ValueError(f"noise level must be finite and non-negative, got {self.level!r}")
+        finite_real("noise level", self.level)
+        whole_number("noise seed", self.seed, 0)
         if self.kind == "outliers" and self.level > 1:
             raise ValueError("outlier fraction cannot exceed 1")
 
@@ -390,8 +390,8 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
     injected noise.  A repeated level or label is refused: its cells would
     pool each other's trials.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = whole_number("trials", trials, 1)
+    whole_number("base seed", base_seed, 0)
     for name, values in (("noise levels", [float(v) for v in levels]),
                          ("method labels", [label for label, _ in methods])):
         repeated = sorted(v for v, k in Counter(values).items() if k > 1)

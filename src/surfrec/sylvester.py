@@ -10,17 +10,18 @@ a non-negative shift s (the degree-0 Tikhonov penalty; zero otherwise).
 Every solve takes one route: :func:`factor` forms the symmetric
 eigendecompositions of A.T A and B.T B (a :class:`Factorization`), in
 whose basis :func:`solve` divides the equation elementwise.  It calls
-``eigh`` once per distinct coefficient: when B.T B equals A.T A bitwise (a
-square grid with equal spacing on both axes) both sides share one
-eigendecomposition, and a checkerboard coefficient (a cosine or Gram
-spectral Gram, whose even-to-odd entries vanish but for rounding) is
-diagonalized as one batch of its two parity blocks.  When A and B
-each annihilate a known vector (u and v), the operator has the rank-one
-null space u v.T, the single zero eigenvalue pair in that basis.  The
-factorization carries u and v: it pins that pair's coefficient at zero and
-projects u v.T out of every solution it maps back, so whoever solves gets
-u.T Phi v = 0 (mean free in the unweighted case).  The shift always goes to
-the divisor, so one factorization serves every shift.
+``eigh`` once per coefficient block: when B is A itself (the one block a
+builder passes for equal blocks on both axes, as on a square grid with
+equal spacing) both sides share one eigendecomposition, and a checkerboard
+coefficient (a cosine or Gram spectral Gram, whose even-to-odd entries
+vanish but for rounding) is diagonalized as one batch of its two parity
+blocks.  When A and B each annihilate a known vector (u and v), the
+operator has the rank-one null space u v.T, the single zero eigenvalue pair
+in that basis.  The factorization carries u and v: it pins that pair's
+coefficient at zero and projects u v.T out of every solution it maps back,
+so whoever solves gets u.T Phi v = 0 (mean free in the unweighted case).
+The shift always goes to the divisor, so one factorization serves every
+shift.
 
 The paper removes the null space by Householder deflation before solving,
 because the Bartels-Stewart algorithm cannot take a singular pencil.  The
@@ -32,12 +33,11 @@ solution up to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularSystemError
+from .errors import DimensionError, SingularSystemError, finite_real
 
 _SYM_TOL = 1e-10
 _PENCIL_TOL = 1e-12
@@ -188,10 +188,7 @@ class SylvesterSystem:
             raise DimensionError("null vectors u and v must both be given or both omitted")
         for blk, name in ((a, "a"), (b, "b"), (f, "f"), (g, "g")):
             object.__setattr__(self, name, blk)
-        shift = float(self.shift)
-        if not (math.isfinite(shift) and shift >= 0):
-            raise ValueError(f"pencil shift must be finite and non-negative, got {shift!r}")
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", finite_real("pencil shift", self.shift))
         if self.u is not None:
             u = np.asarray(self.u, dtype=float).ravel()
             v = np.asarray(self.v, dtype=float).ravel()
@@ -230,15 +227,13 @@ class SylvesterSystem:
 
 def _eigh_pair(p: np.ndarray, q: np.ndarray):
     """Ascending eigendecompositions (lp, up, lq, uq) of the symmetric
-    coefficients P and Q, with one ``eigh`` call per distinct matrix.
+    coefficients P and Q, with one ``eigh`` call each, or one for both
+    when Q is P.
 
-    Q that is P, or bitwise equal to it (the same operator on both axes of a
-    square grid), reuses P's eigenpairs, which are then the very ones a
-    second call would return.  A Gram of order k >= 2 whose even-to-odd
-    entries all lie within k * eps of its largest diagonal entry (which
-    bounds every entry) is a checkerboard: a spectral Gram of a parity
-    basis such as cosine or Gram polynomials (J b_k = (-1)^k b_k, kept by
-    the stencils, J D J = -D).
+    A Gram of order k >= 2 whose even-to-odd entries all lie within k * eps
+    of its largest diagonal entry (which bounds every entry) is a
+    checkerboard: a spectral Gram of a parity basis such as cosine or Gram
+    polynomials (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).
     Its parity blocks, of orders ceil(k/2) and floor(k/2), are diagonalized
     as one batch and merged in ascending order (Cantoni & Butler, Linear
     Algebra Appl. 13, 1976).  For odd k the smaller block is padded with a
@@ -247,9 +242,8 @@ def _eigh_pair(p: np.ndarray, q: np.ndarray):
     entry above that bound in the top-left corner rejects a matrix before
     the full scan, so a stencil Gram pays almost nothing for the test.
     """
-    same = q is p or (q.shape == p.shape and np.array_equal(q, p))
     pairs = []
-    for mat in (p,) if same else (p, q):
+    for mat in (p,) if q is p else (p, q):
         k = mat.shape[0]
         off = mat[0::2, 1::2]
         bound = k * _EPS * np.max(np.diagonal(mat), initial=0.0)
@@ -284,10 +278,10 @@ def factor(system: SylvesterSystem) -> Factorization:
     must be exactly span{u v.T}: the second-smallest pencil eigenvalue,
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
-    ``eigh`` runs once per distinct coefficient.  When B.T B equals A.T A
-    both sides get the same eigenpairs; when B is A itself (the one block
-    ``assemble`` passes for equal operators on both axes of a square grid)
-    B.T B is not formed.
+    ``eigh`` runs once per coefficient block.  When B is A itself (the one
+    block ``assemble`` passes for equal blocks on both axes of a square
+    grid) B.T B is not formed and both sides get the same eigenpairs; equal
+    but distinct blocks are factored twice.
     A checkerboard coefficient (cosine or Gram spectral, of any size) is
     diagonalized as one batch of its two parity blocks; its eigenpairs then
     differ from a full ``eigh`` only by rounding.  Every other coefficient

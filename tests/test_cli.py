@@ -232,6 +232,9 @@ class TestBench:
         rows = run_bench([16], repeats=1, methods=("gls",))
         assert rows[0]["method"] == "gls"
         assert rows[0]["seconds"] > 0
+        for name, bad in (("repeats", True), ("seed", -1)):
+            with pytest.raises(ValueError, match=name):
+                run_bench([np.int64(16)], methods=("gls",), **{name: bad})
 
 
 class TestFailureClasses:

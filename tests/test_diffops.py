@@ -110,6 +110,16 @@ class TestDiffMatrix:
             diff_matrix(5, np.array([1.0, 2.0]), 2)
         with pytest.raises(ValueError):
             diff_matrix(5, 1.0, 3)
+        for bad in ("0.5", True):
+            with pytest.raises(ValueError, match="node spacing"):
+                diff_matrix(5, bad, 2)
+        z = np.zeros((4, 5))
+        for kind in (lambda **h: Surface(z, **h), lambda **h: GradientField(z, z, **h)):
+            for bad in ({"hx": "2"}, {"hy": True}, {"hx": np.array(2.0)}):
+                with pytest.raises(ValueError, match=next(iter(bad))):
+                    kind(**bad)
+            # numpy reals are accepted and stored as floats
+            assert kind(hx=np.float32(0.5), hy=np.int64(2)).hx == 0.5
 
 
 class TestOperatorValue:

@@ -328,6 +328,14 @@ class TestAssemble:
             Tikhonov(lam=-1.0)
         with pytest.raises(ValueError):
             Tikhonov(lam=1.0, degree=3)
+        with pytest.raises(ValueError, match="parameter lam "):
+            Tikhonov(lam=True)
+        for bad in (1.0, True):
+            with pytest.raises(ValueError, match="degree must be an integer"):
+                Tikhonov(lam=1.0, degree=bad)
+        # numpy scalars are accepted and stored as given
+        spec = Tikhonov(lam=np.float32(0.5), degree=np.int64(2))
+        assert (spec.lam, spec.degree) == (np.float32(0.5), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_tikhonov_rejects_non_finite_parameters(self, bad):

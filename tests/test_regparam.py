@@ -264,6 +264,9 @@ class TestLCurve:
             l_curve(cache, [1.0, 0.5])
         with pytest.raises(ValueError):
             l_curve(cache, [-1.0, 1.0])
+        for bad in ("0.5", True):
+            with pytest.raises(ValueError, match="grid lam"):
+                l_curve(cache, [bad, 2.0])
 
 
 class TestDefaultGrid:

@@ -118,9 +118,18 @@ class TestAddNoise:
             NoiseSpec("iid", -0.1)
         with pytest.raises(ValueError):
             NoiseSpec("outliers", 1.5)
-        for bad in (np.nan, np.inf, -np.inf):
+        for bad in (np.nan, np.inf, -np.inf, True):
             with pytest.raises(ValueError, match="noise level"):
                 NoiseSpec("iid", bad)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError, match="noise seed"):
+                NoiseSpec("iid", 0.1, bad)
+        assert NoiseSpec("iid", np.float32(0.1), np.int64(3)).seed == 3
+        with pytest.raises(ValueError, match="rows must be an integer"):
+            BumpSurfaceSpec(default_bump_spec().bumps, rows=10.5)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            monte_carlo([("gls", Gls())], NoiseSpec("iid", 0.1), [0.1], trials=True,
+                        base_seed=0, surface_spec=default_bump_spec(16, 16), order=2)
 
 
 class TestOracle:

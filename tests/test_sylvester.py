@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    Dirichlet, DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
+    CovarianceSet, Dirichlet, DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
     SingularSystemError, Spectral, SylvesterSystem, Tikhonov, Weighted, assemble, build_cache,
     cosine_basis, diff_matrix, gram_basis, haar_basis, radial_covariance_set, solve, sym_sqrt,
     work_estimate,
@@ -284,7 +284,7 @@ class TestShift:
         want = kron_sylvester_solve(a.T @ a + s * np.eye(a.shape[1]), b.T @ b, system.rhs())
         assert np.max(np.abs(solve(lifted) - want)) <= 1e-10 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, True])
     def test_bad_shift_refused(self, bad):
         with pytest.raises(ValueError, match="shift"):
             self.shifted_system(42, bad)
@@ -358,6 +358,7 @@ class TestOneFactorization:
 
     @pytest.mark.parametrize("name", [
         "gls", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet", "build_cache", "lcurve",
+        "weighted-identity",
     ])
     def test_square_grid_with_equal_spacing_needs_one_eigh_call(self, monkeypatch, name):
         rng = np.random.default_rng(54)
@@ -371,6 +372,7 @@ class TestOneFactorization:
             "tikhonov-2": Tikhonov(lam=0.4, mu=0.4, degree=2),
             "dirichlet": Dirichlet(rng.standard_normal((16, 16))),
             "lcurve": LCurveTikhonov(),
+            "weighted-identity": Weighted(CovarianceSet.identity(16, 16)),
         }
         if name == "build_cache":
             shapes = eigh_shapes(monkeypatch, build_cache, g, dx, dy)
