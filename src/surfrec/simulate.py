@@ -392,7 +392,9 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
     """
     trials = whole_number("trials", trials, 1)
     whole_number("base seed", base_seed, 0)
-    for name, values in (("noise levels", [float(v) for v in levels]),
+    # every level meets the noise model's rules before any trial runs
+    levels = [float(NoiseSpec(noise.kind, v).level) for v in levels]
+    for name, values in (("noise levels", levels),
                          ("method labels", [label for label, _ in methods])):
         repeated = sorted(v for v, k in Counter(values).items() if k > 1)
         if repeated:
@@ -403,21 +405,21 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(trials):
-            cell_noise = NoiseSpec(noise.kind, float(level), trial_seed(base_seed, li, ti))
+            cell_noise = NoiseSpec(noise.kind, level, trial_seed(base_seed, li, ti))
             g_noisy = add_noise(g_true, cell_noise)
             for label, method in methods:
                 z = run_method(g_noisy, dx, dy, method)
                 records.append(TrialRecord(
-                    method=label, level=float(level), trial=ti,
+                    method=label, level=level, trial=ti,
                     metrics=evaluate(z, z_true, g_noisy, dx, dy),
                 ))
     cells = []
     for label, _ in methods:
         for level in levels:
             sample = [r.metrics for r in records
-                      if r.method == label and r.level == float(level)]
+                      if r.method == label and r.level == level]
             cells.append(CellStats(
-                method=label, level=float(level),
+                method=label, level=level,
                 cost_mean=statistics.fmean(m.cost_residual for m in sample),
                 cost_std=_std([m.cost_residual for m in sample]),
                 rel_error_mean=statistics.fmean(m.rel_error for m in sample),

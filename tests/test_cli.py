@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,47 @@ class TestReconstructionCommands:
         want = xg**2 + yg**2
         assert np.max(np.abs((data.values - data.values.mean())
                              - (want - want.mean()))) <= 1e-9
+
+
+def run_process(argv):
+    """The CLI in a process of its own, as the installed command runs it;
+    -W error also fails on runpy's warning should the package import cli."""
+    # the child must import this same package, installed or not
+    src = str(Path(surfrec.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # buffered, the printed lines reach the pipe only if exit flushes them
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "surfrec.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestProcess:
+    """A CLI process exits through run_and_exit, which freezes the collector
+    before the interpreter's exit; its files and lines match main()'s."""
+
+    @pytest.mark.parametrize("command,printed", [
+        (["gls"], ["cost"]),
+        (["tikhonov", "--lcurve"], ["lambda", "cost"]),
+    ], ids=["gls", "tikhonov-lcurve"])
+    def test_matches_in_process_run(self, tmp_path, capsys, command, printed):
+        _, zx, zy = discrete_gradient_files(tmp_path, n=24, seed=91)
+        want, out = tmp_path / "want.g2s", tmp_path / "z.g2s"
+        assert main([command[0], zx, zy, *command[1:], "--out", str(want)]) == 0
+        lines = capsys.readouterr().out
+        done = run_process([command[0], zx, zy, *command[1:], "--out", str(out)])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [line.split()[0] for line in lines.splitlines()] == printed
+        assert done.stdout == lines  # flushed at exit, frozen objects or not
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_refused_input(self, tmp_path):
+        _, zx, zy = discrete_gradient_files(tmp_path, seed=92)
+        Path(zy).write_bytes(Path(zy).read_bytes()[:-8])
+        out = tmp_path / "z.g2s"
+        done = run_process(["gls", zx, zy, "--out", str(out)])
+        assert (done.returncode, done.stdout) == (1, "")
+        assert re.fullmatch(r"surfrec: format error: [^\n]*truncated payload[^\n]*\n", done.stderr)
+        assert not out.exists()
 
 
 class TestLCurveCommand:

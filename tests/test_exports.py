@@ -31,13 +31,24 @@ def test_every_benchmark_hook_resolves():
     assert spans.HOOKS and missing == []
 
 
-@pytest.mark.parametrize("module", ["surfrec", "surfrec.cli"])
-def test_import_loads_no_scipy(module):
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+# what a fresh import must leave unloaded, by name prefix: the package alone
+# loads no submodule, and the CLI none that only other subcommands run
+@pytest.mark.parametrize("module,unloaded", [
+    ("surfrec", ("scipy", "surfrec.")),
+    ("surfrec.cli", ("scipy", "surfrec.simulate", "surfrec.regparam", "csv", "statistics")),
+], ids=["surfrec", "surfrec.cli"])
+def test_import_loads_no_scipy(module, unloaded):
+    code = "\n".join([
+        f"import sys, {module}",
+        f"print(sorted(m for m in sys.modules if m.startswith({unloaded!r})))",
+        # a lazily loaded name is still listed and resolves; an unknown one does not
+        "import surfrec",
+        "print(sorted(set(surfrec.__all__) - set(dir(surfrec))))",
+        "print(hasattr(surfrec, 'no_such_name'), surfrec.reconstruct.__module__)",
+    ])
     # the child must import this same package, installed or not
     src = str(Path(surfrec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]", "False surfrec.methods"]

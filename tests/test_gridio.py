@@ -1,4 +1,6 @@
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +88,33 @@ class TestCsv:
         path.write_text("\n\n")
         with pytest.raises(FormatError, match="no numeric rows"):
             read_grid(path)
+
+    def test_read_leaves_other_threads_warnings_alone(self, tmp_path):
+        # warning filters are process-wide, so a reader that set one would
+        # turn another thread's harmless warnings into exceptions
+        path = tmp_path / "grid.csv"
+        write_grid(path, np.ones((64, 64)))
+        reads, done, raised = [], threading.Event(), []
+
+        def reader():
+            while not done.is_set():
+                read_grid(path)
+                reads.append(1)
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "harmless", UserWarning)
+            thread = threading.Thread(target=reader)
+            thread.start()
+            try:
+                while len(reads) < 20 and thread.is_alive():
+                    try:
+                        warnings.warn("harmless", UserWarning)
+                    except UserWarning:
+                        raised.append(1)
+            finally:
+                done.set()
+                thread.join(timeout=60)
+        assert not thread.is_alive() and len(reads) >= 20 and raised == []
 
     @pytest.mark.parametrize("text", [
         "1,2\n\n3,4\n",

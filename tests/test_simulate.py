@@ -438,9 +438,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("levels,methods,message", [
         ([0.1, 0.1], [("gls", Gls())], r"noise levels repeated: \[0\.1\]"),
         ([0.1], [("m", Gls()), ("m", Tikhonov(lam=0.5))], r"method labels repeated: \['m'\]"),
-    ], ids=["level", "label"])
+        ([0.1, -1], [("gls", Gls())], "noise level must be a finite"),
+        ([0.1, "0.1"], [("gls", Gls())], "noise level must be a finite"),
+    ], ids=["level", "label", "negative-level", "string-level"])
     def test_repeats_refused_before_any_trial(self, monkeypatch, levels, methods, message):
-        # a repeated level or label would pool the trials of two cells
+        # a repeated level or label would pool the trials of two cells, and a
+        # bad level after a good one must not cost the good level's trials
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
