@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffops import _check_grid
 from .errors import whole_number
 
 
@@ -23,7 +24,8 @@ class BasisSet:
     ``columns`` records each column's index within the full family, so a
     band-pass slice taken with :meth:`subset` remembers which original
     functions it kept (in particular whether the constant, index 0, is
-    present).
+    present).  The entries must be a finite, non-empty 2-d matrix and the
+    labels distinct.
     """
 
     entries: np.ndarray
@@ -31,12 +33,16 @@ class BasisSet:
     columns: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _check_grid("entries", self.entries)
         object.__setattr__(self, "entries", entries)
         if not self.columns:
             object.__setattr__(self, "columns", tuple(range(entries.shape[1])))
         if len(self.columns) != entries.shape[1]:
             raise ValueError("column index list does not match entry matrix width")
+        repeated = sorted(c for c, k in Counter(self.columns).items() if k > 1)
+        if repeated:
+            # two equal columns would make the spectral operator rank deficient
+            raise ValueError(f"column labels repeated: {repeated}")
 
     @property
     def n(self) -> int:
@@ -53,10 +59,6 @@ class BasisSet:
             raise ValueError("cannot slice a basis down to zero columns")
         if any(c < 0 or c >= self.p for c in cols):
             raise ValueError(f"column index out of range 0..{self.p - 1}")
-        repeated = sorted(c for c, k in Counter(cols).items() if k > 1)
-        if repeated:
-            # two equal columns would make the spectral operator rank deficient
-            raise ValueError(f"column positions repeated: {repeated}")
         return BasisSet(
             entries=self.entries[:, cols],
             family=self.family,

@@ -49,25 +49,20 @@ def _load_gradient(args) -> GradientField:
     return GradientField(gx.values, gy.values, hx, hy)
 
 
-def _write_surface(args, z: Surface) -> None:
-    write_grid(args.out, z.heights, z.hx, z.hy)
-
-
-def _print_cost(g, dx, dy, z) -> None:
-    print(f"cost {gradient_misfit(z, g, dx, dy):.17e}")
-
-
-def _reconstruct_and_report(args, spec) -> int:
+def _reconstruct_and_report(args, spec_of, solve=reconstruct) -> int:
+    """Read the gradient, solve it with the spec ``spec_of(gradient)``, write
+    the surface and print its ``cost`` line.  The spec is made after the
+    operators, so a grid too small for the order is refused first."""
     g = _load_gradient(args)
     dx, dy = g.operators(args.order)
-    z = reconstruct(g, dx, dy, spec)
-    _write_surface(args, z)
-    _print_cost(g, dx, dy, z)
+    z = solve(g, dx, dy, spec_of(g))
+    write_grid(args.out, z.heights, z.hx, z.hy)
+    print(f"cost {gradient_misfit(z, g, dx, dy):.17e}")
     return 0
 
 
 def _cmd_gls(args) -> int:
-    return _reconstruct_and_report(args, Gls())
+    return _reconstruct_and_report(args, lambda g: Gls())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -75,23 +70,21 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_spectral(args) -> int:
-    g = _load_gradient(args)
-    dx, dy = g.operators(args.order)
-    p = args.p if args.p is not None else math.ceil(g.m / 2)
-    q = args.q if args.q is not None else math.ceil(g.n / 2)
-    by = make_basis(args.basis, g.m, p)
-    bx = by if (g.n, q) == (g.m, p) else make_basis(args.basis, g.n, q)
-    if args.drop_cols:
-        dropped = _parse_int_list(args.drop_cols)
-        widest = max(by.p, bx.p)
-        if any(c >= widest for c in dropped):
-            raise ValueError(f"--drop-cols index out of range 0..{widest - 1} on both axes")
-        by = by.drop([c for c in dropped if c < by.p])
-        bx = bx.drop([c for c in dropped if c < bx.p])
-    z = reconstruct(g, dx, dy, Spectral(basis_y=by, basis_x=bx))
-    _write_surface(args, z)
-    _print_cost(g, dx, dy, z)
-    return 0
+    def spec_of(g: GradientField) -> Spectral:
+        p = args.p if args.p is not None else math.ceil(g.m / 2)
+        q = args.q if args.q is not None else math.ceil(g.n / 2)
+        by = make_basis(args.basis, g.m, p)
+        bx = by if (g.n, q) == (g.m, p) else make_basis(args.basis, g.n, q)
+        if args.drop_cols:
+            dropped = _parse_int_list(args.drop_cols)
+            widest = max(by.p, bx.p)
+            if any(c >= widest for c in dropped):
+                raise ValueError(f"--drop-cols index out of range 0..{widest - 1} on both axes")
+            by = by.drop([c for c in dropped if c < by.p])
+            bx = bx.drop([c for c in dropped if c < bx.p])
+        return Spectral(basis_y=by, basis_x=bx)
+
+    return _reconstruct_and_report(args, spec_of)
 
 
 def _cmd_tikhonov(args) -> int:
@@ -101,27 +94,25 @@ def _cmd_tikhonov(args) -> int:
         raise ValueError("--lcurve sweeps degree 0 with mu = lambda; drop --mu and --degree")
     if args.points is not None and not args.lcurve:
         raise ValueError("--points sizes the --lcurve sweep; drop it or add --lcurve")
+    if not args.lcurve:
+        return _reconstruct_and_report(
+            args, lambda g: Tikhonov(lam=args.lam, mu=args.mu, degree=args.degree))
+    from .regparam import LCurveTikhonov, lcurve_reconstruct
+
     # built before any grid is read, so a bad --points fails first
-    lcurve = None
-    if args.lcurve:
-        from .regparam import LCurveTikhonov
-        lcurve = LCurveTikhonov() if args.points is None else LCurveTikhonov(args.points)
-    g = _load_gradient(args)
-    dx, dy = g.operators(args.order)
-    if lcurve is not None:
-        from .regparam import lcurve_reconstruct
-        lam, z = lcurve_reconstruct(g, dx, dy, lcurve)
+    lcurve = LCurveTikhonov() if args.points is None else LCurveTikhonov(args.points)
+
+    def solve(g, dx, dy, spec) -> Surface:
+        lam, z = lcurve_reconstruct(g, dx, dy, spec)
         print(f"lambda {lam:.17e}")
-    else:
-        z = reconstruct(g, dx, dy, Tikhonov(lam=args.lam, mu=args.mu, degree=args.degree))
-    _write_surface(args, z)
-    _print_cost(g, dx, dy, z)
-    return 0
+        return z
+
+    return _reconstruct_and_report(args, lambda g: lcurve, solve)
 
 
 def _cmd_dirichlet(args) -> int:
     boundary = read_grid(args.boundary).values
-    return _reconstruct_and_report(args, Dirichlet(boundary=boundary))
+    return _reconstruct_and_report(args, lambda g: Dirichlet(boundary=boundary))
 
 
 def _cmd_wls(args) -> int:
@@ -131,7 +122,7 @@ def _cmd_wls(args) -> int:
         yx=read_grid(args.cov_yx).values,
         yy=read_grid(args.cov_yy).values,
     )
-    return _reconstruct_and_report(args, Weighted(covariance=cov))
+    return _reconstruct_and_report(args, lambda g: Weighted(covariance=cov))
 
 
 def _write_csv_atomic(path, header, rows) -> None:
@@ -215,14 +206,11 @@ def _bench_spec(name: str, g: GradientField):
         return Dirichlet(boundary=np.zeros((m, n)))
     if name == "weighted":
         return Weighted(covariance=CovarianceSet.identity(m, n))
-    if name == "tikhonov_lcurve":
-        from .regparam import LCurveTikhonov
-        return LCurveTikhonov()
-    raise ValueError(f"unknown bench method {name!r}")
+    from .regparam import LCurveTikhonov  # the last name, "tikhonov_lcurve"
+    return LCurveTikhonov()
 
 
-def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
-              order: int = 2) -> list[dict]:
+def run_bench(sizes, repeats: int = 10, seed: int = 0, order: int = 2) -> list[dict]:
     """Time each method on square random gradients; returns one row per cell.
 
     Direct solvers run in data-independent time, so random input is as good
@@ -243,7 +231,7 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, methods=_BENCH_METHODS,
         g = GradientField(rng.standard_normal((size, size)),
                           rng.standard_normal((size, size)))
         dx, dy = g.operators(order)
-        for name in methods:
+        for name in _BENCH_METHODS:
             spec = _bench_spec(name, g)
             run_method(g, dx, dy, spec)  # warm-up, untimed
             times = []

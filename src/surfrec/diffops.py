@@ -20,25 +20,27 @@ import numpy as np
 
 from .errors import DimensionError, finite_real, whole_number
 
-_ORDERS = (2, 4)
+# Unit-spacing stencil weights per order (Fornberg, Math. Comp. 51, 1988): the
+# centred c_1..c_w, interior row i being sum_k c_k (x[i+k] - x[i-k]), and the w
+# one-sided start rows.  The end rows are these reversed and negated (JDJ = -D).
+_STENCILS = {
+    2: ((1 / 2,), ((-3 / 2, 2.0, -1 / 2),)),
+    4: ((8 / 12, -1 / 12), ((-25 / 12, 48 / 12, -36 / 12, 16 / 12, -3 / 12),
+                            (-3 / 12, -10 / 12, 18 / 12, -6 / 12, 1 / 12))),
+}
 
 
-def _stencil_matrix(n: int, order: int) -> np.ndarray:
-    """Unit-spacing differentiation matrix (divide by h to scale)."""
+def _stencil_matrix(n: int, order: int, h: float) -> np.ndarray:
+    """Differentiation matrix at spacing h: each table weight c becomes c / h."""
+    centre, start = (np.divide(t, h) for t in _STENCILS[order])
+    w, width = start.shape
     d = np.zeros((n, n))
-    if order == 2:
-        for i in range(1, n - 1):
-            d[i, i - 1:i + 2] = (-0.5, 0.0, 0.5)
-        d[0, :3] = (-1.5, 2.0, -0.5)
-        d[-1, -3:] = (0.5, -2.0, 1.5)
-    else:
-        centre = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-        for i in range(2, n - 2):
-            d[i, i - 2:i + 3] = centre
-        d[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-        d[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-        d[-2, -5:] = np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0
-        d[-1, -5:] = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0
+    for k, c in enumerate(centre, 1):
+        # row i of each view is matrix row w + i
+        np.fill_diagonal(d[w:n - w, w + k:], c)
+        np.fill_diagonal(d[w:n - w, w - k:], -c)
+    d[:w, :width] = start
+    d[n - w:, n - width:] = -start[::-1, ::-1]
     return d
 
 
@@ -48,9 +50,10 @@ class DiffMatrix:
 
     (n, h, order) is the whole state, compared and hashed: an integer n of
     at least order + 1, an order of exactly 2 or 4 and a finite positive h.
-    ``entries`` is the dense matrix derived from them once, read-only, with
-    the stencils that :meth:`left_product` applies (two boundary rows per
-    end for order 4, one-sided and of the same order as the interior).
+    ``entries`` is the dense matrix derived from them once, read-only.  It
+    and :meth:`left_product` are both read from one stencil table per order
+    (centred rows inside, one-sided rows of the same order at the ends, two
+    per end for order 4), so ``left_product(I)`` is ``entries`` bitwise.
     """
 
     n: int
@@ -59,12 +62,12 @@ class DiffMatrix:
 
     def __post_init__(self):
         n, order = whole_number("node count", self.n), whole_number("order", self.order)
-        if order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
+        if order not in _STENCILS:
+            raise ValueError(f"order must be one of {tuple(_STENCILS)}, got {order!r}")
         h = finite_real("node spacing", self.h, positive=True)
         if n < order + 1:
             raise DimensionError(f"order-{order} operator needs at least {order + 1} nodes, got {n}")
-        entries = _stencil_matrix(n, order) / h
+        entries = _stencil_matrix(n, order, h)
         entries.flags.writeable = False
         for name, value in (("n", n), ("h", h), ("order", order), ("entries", entries)):
             object.__setattr__(self, name, value)
@@ -76,28 +79,24 @@ class DiffMatrix:
     def left_product(self, mat: np.ndarray) -> np.ndarray:
         """entries @ mat, evaluated by the stencils in O(rows) per column.
 
-        The operator touches at most five neighbours per row, so the product
-        is formed from shifted row slices instead of a dense matrix multiply.
+        One pass over the stencil table that builds ``entries``, each entry
+        value c / h its weight, so it is ``entries @ mat`` up to rounding and
+        ``entries`` itself, bitwise, for the identity.
         """
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape[0] != self.n:
-            raise DimensionError(
-                f"operator has {self.n} nodes but the array has {mat.shape[0]} rows"
-            )
+        mat, n = np.asarray(mat, dtype=float), self.n
+        if mat.shape[0] != n:
+            raise DimensionError(f"operator has {n} nodes but the array has {mat.shape[0]} rows")
+        centre, start = (np.divide(t, self.h) for t in _STENCILS[self.order])
+        w, width = start.shape
         out = np.empty_like(mat, dtype=float)
-        h = self.h
-        if self.order == 2:
-            interior = np.subtract(mat[2:], mat[:-2], out=out[1:-1])
-            interior *= 0.5 / h
-            out[0] = (-1.5 * mat[0] + 2.0 * mat[1] - 0.5 * mat[2]) / h
-            out[-1] = (0.5 * mat[-3] - 2.0 * mat[-2] + 1.5 * mat[-1]) / h
-        else:
-            s = 1.0 / (12.0 * h)
-            out[2:-2] = (mat[:-4] - 8.0 * mat[1:-3] + 8.0 * mat[3:-1] - mat[4:]) * s
-            out[0] = (-25 * mat[0] + 48 * mat[1] - 36 * mat[2] + 16 * mat[3] - 3 * mat[4]) * s
-            out[1] = (-3 * mat[0] - 10 * mat[1] + 18 * mat[2] - 6 * mat[3] + mat[4]) * s
-            out[-2] = (-mat[-5] + 6 * mat[-4] - 18 * mat[-3] + 10 * mat[-2] + 3 * mat[-1]) * s
-            out[-1] = (3 * mat[-5] - 16 * mat[-4] + 36 * mat[-3] - 48 * mat[-2] + 25 * mat[-1]) * s
+        inner = np.subtract(mat[w + 1:n - w + 1], mat[w - 1:n - w - 1], out=out[w:n - w])
+        inner *= centre[0]
+        for k in range(2, w + 1):
+            diff = mat[w + k:n - w + k] - mat[w - k:n - w - k]
+            diff *= centre[k - 1]
+            inner += diff
+        out[:w] = start @ mat[:width]
+        out[n - w:] = -start[::-1, ::-1] @ mat[n - width:]
         return out
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from surfrec import cosine_basis, diff_matrix, gram_basis, haar_basis, make_basis
+from surfrec import (
+    BasisSet, DimensionError, cosine_basis, diff_matrix, gram_basis, haar_basis, make_basis,
+)
 
 FAMILIES = [cosine_basis, gram_basis, haar_basis]
 
@@ -166,6 +168,32 @@ def test_subset_validation():
         b.drop([-1])
     with pytest.raises(ValueError):
         b.drop([4])
+
+
+@pytest.mark.parametrize("entries", [np.ones(5), np.ones((2, 2, 2)), np.zeros((0, 0)),
+                                     np.zeros((4, 0))],
+                         ids=["1-d", "3-d", "0x0", "no-columns"])
+def test_constructor_refuses_malformed_shapes(entries):
+    with pytest.raises(DimensionError, match="entries"):
+        BasisSet(entries, "cosine")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructor_refuses_non_finite_entries(bad):
+    entries = cosine_basis(6, 3).entries.copy()
+    entries[2, 1] = bad
+    for matrix in (entries, np.full((4, 2), bad)):
+        with pytest.raises(ValueError, match="entries contains non-finite"):
+            BasisSet(matrix, "cosine")
+
+
+def test_constructor_refuses_repeated_labels():
+    entries = cosine_basis(6, 3).entries
+    with pytest.raises(ValueError, match=r"labels repeated: \[0\]"):
+        BasisSet(entries[:, :2], "cosine", columns=(0, 0))
+    with pytest.raises(ValueError, match=r"labels repeated: \[1, 4\]"):
+        BasisSet(np.hstack([entries, entries[:, :1]]), "cosine", columns=(4, 1, 1, 4))
+    assert BasisSet(entries, "cosine", columns=(0, 2, 5)).columns == (0, 2, 5)
 
 
 def test_make_basis_dispatch():

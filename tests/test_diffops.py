@@ -193,6 +193,11 @@ class TestOperatorValue:
     ])
     def test_entries_are_the_stencil_formula_bitwise(self, n, order, h):
         assert np.array_equal(diff_matrix(n, h, order).entries, reference_entries(n, h, order))
+        d = diff_matrix(n, h, order)
+        # one stencil table defines both the dense matrix and the stencil product
+        assert np.array_equal(d.left_product(np.eye(n)), d.entries)
+        # centro-antisymmetric: J D J = -D
+        assert np.array_equal(d.entries[::-1, ::-1], -d.entries)
 
 
 class TestApply:
