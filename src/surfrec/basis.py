@@ -57,7 +57,7 @@ class BasisSet:
         cols = list(cols)
         if not cols:
             raise ValueError("cannot slice a basis down to zero columns")
-        if any(c < 0 or c >= self.p for c in cols):
+        if any(whole_number("column position", c) < 0 or c >= self.p for c in cols):
             raise ValueError(f"column index out of range 0..{self.p - 1}")
         return BasisSet(
             entries=self.entries[:, cols],
@@ -68,7 +68,7 @@ class BasisSet:
     def drop(self, cols) -> "BasisSet":
         """New BasisSet with the given column positions removed."""
         drop = set(cols)
-        if any(c < 0 or c >= self.p for c in drop):
+        if any(whole_number("column position", c) < 0 or c >= self.p for c in drop):
             raise ValueError(f"column index out of range 0..{self.p - 1}")
         keep = [c for c in range(self.p) if c not in drop]
         return self.subset(keep)

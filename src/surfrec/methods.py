@@ -4,21 +4,26 @@ Five variants are supported, all reducing to the same symmetric Sylvester
 normal equations and differing only in their coefficient blocks and in the
 map from the solved parameter matrix back to a height grid:
 
-  gls        unregularized global least squares; mean-free solution
+  gls        unregularized global least squares: degree-0 Tikhonov at lam = mu = 0
   spectral   truncated generalized Fourier series in an orthonormal basis
   tikhonov   penalized least squares (degree 0, 1, or 2 smoothing operators)
   dirichlet  prescribed heights on the boundary frame; interior solved
   weighted   Mahalanobis-weighted least squares via symmetric square roots
 
-Degree-0 Tikhonov shares the GLS blocks and only shifts the pencil,
-degree-1 Tikhonov only rescales them, and a diagonal covariance whitens by
-row and column scaling, so each costs one GLS solve.  Only degree-2
-Tikhonov stacks penalty rows under the GLS blocks.
+A method is an operator part, fixed by the spec and the operators (blocks,
+null pair, shift, a-priori grid and back-map), and a data part, the blocks
+F and G from the gradient.  The unknown is the deviation from the a-priori
+grid (a Tikhonov reference or the Dirichlet boundary), whose gradient is
+subtracted from the data in one place.  Degree-0 Tikhonov shares the GLS
+blocks and only shifts the pencil, degree-1 only rescales them, and a
+diagonal covariance whitens by row and column scaling, so each costs one
+GLS solve.  Only degree-2 Tikhonov stacks penalty rows under the GLS blocks.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,67 +180,46 @@ def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> floa
     return float(np.linalg.norm(zxr) ** 2 + np.linalg.norm(zyr) ** 2)
 
 
-def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
-    """Refuse operators whose node counts do not match the gradient grid."""
-    if dx.n != g.n:
-        raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
-    if dy.n != g.m:
-        raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
+@dataclass(frozen=True)
+class _OperatorPart:
+    """A method's operator part (see the module notes): ``a`` and ``b`` are
+    one array when both axes get equal blocks, and ``data`` maps (Zy, Zx)
+    less the gradient of the a-priori ``grid`` to (F, G)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    data: Callable
+    to_surface: Callable
+    u: np.ndarray | None = None
+    v: np.ndarray | None = None
+    shift: float = 0.0
+    grid: np.ndarray | None = None
+
+    def system(self, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SylvesterSystem:
+        """The system for gradient g, on the operators this part was built from."""
+        zy, zx = g.zy, g.zx
+        if self.grid is not None:
+            # the unknown is the deviation from the a-priori grid, so a penalty carries no data
+            zy, zx = zy - apply_dy(self.grid, dy), zx - apply_dx(self.grid, dx)
+        f, gx = self.data(zy, zx)
+        return SylvesterSystem(a=self.a, b=self.b, f=f, g=gx, u=self.u, v=self.v, shift=self.shift)
 
 
-def _build_gls(g, dx, dy):
-    # equal operators (a square grid with equal spacing and one stencil
-    # order) pass one block for both axes, so factor forms one Gram
-    a = dy.entries
-    system = SylvesterSystem(a=a, b=a if dx == dy else dx.entries, f=g.zy, g=g.zx,
-                             u=np.ones(g.m), v=np.ones(g.n))
-    return system, lambda phi: phi
-
-
-def _build_spectral(g, dx, dy, spec: Spectral):
-    by, bx = spec.basis_y, spec.basis_x
-    if by.n != g.m:
-        raise DimensionError(f"y basis sampled on {by.n} nodes but grid has {g.m} rows")
-    if bx.n != g.n:
-        raise DimensionError(f"x basis sampled on {bx.n} nodes but grid has {g.n} columns")
-    u = v = None
-    if 0 in by.columns and 0 in bx.columns:
-        u = np.zeros(by.p)
-        u[by.columns.index(0)] = 1.0
-        v = np.zeros(bx.p)
-        v[bx.columns.index(0)] = 1.0
-    a = dy.left_product(by.entries)
-    # equal operators and bases give one operator block for both axes
-    same = dx == dy and np.array_equal(by.entries, bx.entries)
-    system = SylvesterSystem(
-        a=a,
-        b=a if same else dx.left_product(bx.entries),
-        f=g.zy @ bx.entries,
-        g=by.entries.T @ g.zx,
-        u=u, v=v,
-    )
-    return system, lambda coeff: by.entries @ coeff @ bx.entries.T
-
-
-def _a_priori(g, dx, dy, grid, name: str):
-    """(z0, Zy - Dy z0, Zx - z0 Dx.T) for an a-priori grid z0 that the unknown
-    deviates from, so a penalty carries no data; (None, Zy, Zx) uncopied without one."""
-    if grid is None:
-        return None, g.zy, g.zx
+def _a_priori(grid, name: str, dx: DiffMatrix, dy: DiffMatrix) -> np.ndarray:
+    """The a-priori grid z0, checked against the operators' grid."""
     z0 = np.asarray(grid, dtype=float)
-    if z0.shape != (g.m, g.n):
-        raise DimensionError(f"{name} must be {g.m}x{g.n}, got {z0.shape}")
-    _check_grid(name, z0)
-    return z0, g.zy - apply_dy(z0, dy), g.zx - apply_dx(z0, dx)
+    if z0.shape != (dy.n, dx.n):
+        raise DimensionError(f"{name} must be {dy.n}x{dx.n}, got {z0.shape}")
+    return _check_grid(name, z0)
 
 
-def _build_tikhonov(g, dx, dy, spec: Tikhonov):
+def _tikhonov(dx, dy, spec: Tikhonov) -> _OperatorPart:
     lam, mu, k = spec.lam, spec.mu_value, spec.degree
-    z0, f, gx = _a_priori(g, dx, dy, spec.reference, "reference surface")
+    z0 = None if spec.reference is None else _a_priori(spec.reference, "reference surface", dx, dy)
     # equal operators and a penalty that weighs both axes alike (any degree-0
     # one, or lam = mu) give equal blocks: build one and pass it as both
     same = dx == dy and (k == 0 or lam == mu)
-    a, shift = dy.entries, 0.0
+    a, shift, data = dy.entries, 0.0, lambda zy, zx: (zy, zx)
     b = a if same else dx.entries
     if k == 0:
         # lam^2 |Phi|^2 + mu^2 |Phi|^2 only shifts the GLS pencil
@@ -244,45 +228,61 @@ def _build_tikhonov(g, dx, dy, spec: Tikhonov):
         # [D; lam D] has the normal equations of sqrt(1 + lam^2) D with the
         # data divided by the same factor: the GLS blocks, rescaled
         sy, sx = math.sqrt(1.0 + mu * mu), math.sqrt(1.0 + lam * lam)
-        a, f, gx = sy * a, f / sy, gx / sx
+        a, data = sy * a, lambda zy, zx: (zy / sy, zx / sx)
         b = a if same else sx * b
     else:
         a = np.vstack([a, mu * dy.left_product(a)])
         b = a if same else np.vstack([b, lam * dx.left_product(b)])
-        f = np.vstack([f, np.zeros_like(f)])
-        gx = np.hstack([gx, np.zeros_like(gx)])
-    system = SylvesterSystem(a=a, b=b, f=f, g=gx, u=np.ones(g.m), v=np.ones(g.n), shift=shift)
-    if z0 is None:
-        return system, lambda phi: phi
-    # the shifted solution is mean free like the pinned one; without a shift
-    # the cost fixes Z only up to a constant, so the surface comes back mean free
-    offset = z0 if shift > 0 else z0 - z0.mean()
-    return system, lambda phi: phi + offset
+        data = lambda zy, zx: (np.vstack([zy, np.zeros_like(zy)]),
+                               np.hstack([zx, np.zeros_like(zx)]))
+    to_surface = lambda phi: phi
+    if z0 is not None:
+        # the shifted solution is mean free like the pinned one; without a shift
+        # the cost fixes Z only up to a constant, so the surface comes back mean free
+        offset = z0 if shift > 0 else z0 - z0.mean()
+        to_surface = lambda phi: phi + offset
+    return _OperatorPart(a, b, data, to_surface, np.ones(dy.n), np.ones(dx.n), shift, z0)
 
 
-def _build_dirichlet(g, dx, dy, spec: Dirichlet):
+def _spectral(dx, dy, spec: Spectral) -> _OperatorPart:
+    by, bx = spec.basis_y, spec.basis_x
+    if by.n != dy.n:
+        raise DimensionError(f"y basis sampled on {by.n} nodes but grid has {dy.n} rows")
+    if bx.n != dx.n:
+        raise DimensionError(f"x basis sampled on {bx.n} nodes but grid has {dx.n} columns")
+    u = v = None
+    if 0 in by.columns and 0 in bx.columns:
+        u, v = ((np.arange(b.p) == b.columns.index(0)).astype(float) for b in (by, bx))
+    a = dy.left_product(by.entries)
+    # equal operators and bases give one operator block for both axes
+    same = dx == dy and np.array_equal(by.entries, bx.entries)
+    return _OperatorPart(a, a if same else dx.left_product(bx.entries),
+                         lambda zy, zx: (zy @ bx.entries, by.entries.T @ zx),
+                         lambda coeff: by.entries @ coeff @ bx.entries.T, u, v)
+
+
+def _dirichlet(dx, dy, spec: Dirichlet) -> _OperatorPart:
     if spec.boundary is None:
         raise DimensionError("Dirichlet reconstruction needs a boundary grid")
-    zb, f, gx = _a_priori(g, dx, dy, spec.boundary, "boundary grid")
-    # interior selection realized by index slicing rather than explicit
-    # permutation matrices
-    a = dy.entries[:, 1:-1]
-    system = SylvesterSystem(a=a, b=a if dx == dy else dx.entries[:, 1:-1],
-                             f=f[:, 1:-1], g=gx[1:-1, :])
+    zb = _a_priori(spec.boundary, "boundary grid", dx, dy)
 
     def embed(interior):
         z = zb.copy()
         z[1:-1, 1:-1] += interior
         return z
 
-    return system, embed
+    # interior selection realized by index slicing rather than explicit
+    # permutation matrices
+    a = dy.entries[:, 1:-1]
+    return _OperatorPart(a, a if dx == dy else dx.entries[:, 1:-1],
+                         lambda zy, zx: (zy[:, 1:-1], zx[1:-1, :]), embed, grid=zb)
 
 
-def _build_weighted(g, dx, dy, spec: Weighted):
+def _weighted(dx, dy, spec: Weighted) -> _OperatorPart:
     cov = spec.covariance
-    if cov.xy.shape[0] != g.m or cov.yy.shape[0] != g.m:
+    if cov.xy.shape[0] != dy.n or cov.yy.shape[0] != dy.n:
         raise DimensionError("row covariances must be m-by-m")
-    if cov.xx.shape[0] != g.n or cov.yx.shape[0] != g.n:
+    if cov.xx.shape[0] != dx.n or cov.yx.shape[0] != dx.n:
         raise DimensionError("column covariances must be n-by-n")
     sqrt_xy, isqrt_xy = cov.roots["xy"]
     sqrt_yx, isqrt_yx = cov.roots["yx"]
@@ -293,49 +293,49 @@ def _build_weighted(g, dx, dy, spec: Weighted):
     same = (dx == dy and np.array_equal(isqrt_yy, isqrt_xx)
             and np.array_equal(sqrt_xy, sqrt_yx))
     a = _sandwich(isqrt_yy, dy.entries, sqrt_xy)
-    system = SylvesterSystem(
-        a=a,
-        b=a if same else _sandwich(isqrt_xx, dx.entries, sqrt_yx),
-        f=_sandwich(isqrt_yy, g.zy, isqrt_yx),
-        g=_sandwich(isqrt_xy, g.zx, isqrt_xx),
-        u=_sandwich(isqrt_xy, np.ones((g.m, 1))),
-        v=_sandwich(isqrt_yx, np.ones((g.n, 1))),
+    return _OperatorPart(
+        a, a if same else _sandwich(isqrt_xx, dx.entries, sqrt_yx),
+        lambda zy, zx: (_sandwich(isqrt_yy, zy, isqrt_yx), _sandwich(isqrt_xy, zx, isqrt_xx)),
+        lambda phi: _sandwich(sqrt_xy, phi, sqrt_yx),
+        u=_sandwich(isqrt_xy, np.ones((dy.n, 1))), v=_sandwich(isqrt_yx, np.ones((dx.n, 1))),
     )
-    return system, lambda phi: _sandwich(sqrt_xy, phi, sqrt_yx)
+
+
+def _operator_part(dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec) -> _OperatorPart:
+    """The spec's operator part; it never sees a gradient."""
+    if isinstance(spec, Gls):
+        spec = Tikhonov(lam=0.0)  # no penalty and no reference: the GLS blocks, unshifted
+    for kind, build in ((Tikhonov, _tikhonov), (Spectral, _spectral),
+                        (Dirichlet, _dirichlet), (Weighted, _weighted)):
+        if isinstance(spec, kind):
+            return build(dx, dy, spec)
+    raise TypeError(f"unknown method spec {spec!r}")
 
 
 def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
-    _check_operators(g, dx, dy)
-    if isinstance(spec, Gls):
-        return _build_gls(g, dx, dy)
-    if isinstance(spec, Spectral):
-        return _build_spectral(g, dx, dy, spec)
-    if isinstance(spec, Tikhonov):
-        return _build_tikhonov(g, dx, dy, spec)
-    if isinstance(spec, Dirichlet):
-        return _build_dirichlet(g, dx, dy, spec)
-    if isinstance(spec, Weighted):
-        return _build_weighted(g, dx, dy, spec)
-    raise TypeError(f"unknown method spec {spec!r}")
+    """(system, back-map) of the spec for gradient g."""
+    if dx.n != g.n:
+        raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
+    if dy.n != g.m:
+        raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
+    part = _operator_part(dx, dy, spec)
+    return part.system(g, dx, dy), part.to_surface
 
 
 def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec) -> SylvesterSystem:
     """Coefficient blocks and null vectors of the method's normal equations.
 
-    For Dirichlet, and for Tikhonov with a reference surface, the unknown
-    is the deviation from the a-priori grid (the boundary grid or the
-    reference): the data blocks hold the measured gradient minus the
-    gradient of that grid, and the Tikhonov penalty carries no data.
-    Degree-0 Tikhonov returns the GLS operators, unstacked, with
-    ``shift = lam^2 + mu^2``.  Degree 1 returns them rescaled,
-    ``sqrt(1 + mu^2) Dy`` and ``sqrt(1 + lam^2) Dx`` with the data divided
-    by the same factors; its ``cost`` is the stacked cost less the
-    Phi-independent constant mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.
-    Degree 2 stacks the penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.
-    When both axes would get equal blocks (equal operators, as on a square
-    grid with equal spacing, for Tikhonov degrees 1 and 2 also lam = mu, and
-    for weighted also yy = xx and xy = yx), one array is passed as both
-    ``a`` and ``b``.
+    The data blocks hold the measured gradient less that of the a-priori
+    grid (see the module notes).  GLS and degree-0 Tikhonov return the GLS
+    operators, unstacked, with ``shift = lam^2 + mu^2``.  Degree 1 returns
+    them rescaled, ``sqrt(1 + mu^2) Dy`` and ``sqrt(1 + lam^2) Dx`` with
+    the data divided by the same factors; its ``cost`` is the stacked cost
+    less the Phi-independent constant
+    mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.  Degree 2 stacks the
+    penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.  When both axes
+    would get equal blocks (equal operators, as on a square grid with equal
+    spacing, for Tikhonov degrees 1 and 2 also lam = mu, and for weighted
+    also yy = xx and xy = yx), one array is passed as both ``a`` and ``b``.
     """
     return _build(g, dx, dy, spec)[0]
 

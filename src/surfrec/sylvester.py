@@ -140,6 +140,7 @@ class Factorization:
 
     def divisor(self, shift: float = 0.0) -> np.ndarray:
         """lp_i + lq_j + shift, with the pinned entry set to inf."""
+        shift = finite_real("pencil shift", shift)
         denom = self.lp[:, None] + (self.lq + shift)[None, :]
         if self.pinned:
             denom[0, 0] = np.inf  # the pinned constant of integration

@@ -170,6 +170,21 @@ def test_subset_validation():
         b.drop([4])
 
 
+@pytest.mark.parametrize("method,cols", [
+    ("drop", [0.5]), ("drop", [True]), ("drop", [1.0]),
+    ("subset", [0.0, 1.0]), ("subset", [1.5]), ("subset", [True, True]),
+])
+def test_positions_must_be_integers(method, cols):
+    with pytest.raises(ValueError, match="column position must be an integer"):
+        getattr(cosine_basis(8, 4), method)(cols)
+
+
+def test_numpy_integer_positions_are_accepted():
+    b = cosine_basis(8, 4)
+    assert b.subset(np.array([0, 2])).columns == (0, 2)
+    assert b.drop([np.int64(1)]).columns == (0, 2, 3)
+
+
 @pytest.mark.parametrize("entries", [np.ones(5), np.ones((2, 2, 2)), np.zeros((0, 0)),
                                      np.zeros((4, 0))],
                          ids=["1-d", "3-d", "0x0", "no-columns"])

@@ -125,12 +125,14 @@ class TestReconstructionCommands:
                              - (want - want.mean()))) <= 1e-9
 
 
-def run_process(argv):
-    """The CLI in a process of its own, as the installed command runs it;
-    -W error also fails on runpy's warning should the package import cli."""
+def run_process(argv, **env_vars):
+    """The CLI in a process of its own, as the installed command runs it,
+    with env_vars added to its environment; -W error also fails on runpy's
+    warning should the package import cli."""
     # the child must import this same package, installed or not
     src = str(Path(surfrec.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     # buffered, the printed lines reach the pipe only if exit flushes them
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-W", "error", "-m", "surfrec.cli", *argv],
@@ -155,6 +157,17 @@ class TestProcess:
         assert [line.split()[0] for line in lines.splitlines()] == printed
         assert done.stdout == lines  # flushed at exit, frozen objects or not
         assert out.read_bytes() == want.read_bytes()
+
+    def test_simulate_is_byte_for_byte_at_one_blas_thread(self, tmp_path):
+        # the BLAS thread count can move results by rounding, so the
+        # byte-for-byte claim holds at a fixed count, set in the child alone
+        one = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        outs = [tmp_path / f"run{k}.csv" for k in range(2)]
+        for out in outs:
+            done = run_process(["simulate", "--rows", "24", "--cols", "24", "--levels", "0.05",
+                                "--trials", "2", "--out", str(out)], **one)
+            assert (done.returncode, done.stderr) == (0, "")
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_refused_input(self, tmp_path):
         _, zx, zy = discrete_gradient_files(tmp_path, seed=92)

@@ -660,3 +660,93 @@ class TestDirichletBoundary:
         zb[cell] = bad
         with pytest.raises(ValueError, match="boundary grid contains non-finite values"):
             reconstruct(g, dx, dy, Dirichlet(zb))
+
+
+def covariance_set(rng, k, kind):
+    """A covariance set on a k-by-k grid, every member diagonal or dense."""
+    return CovarianceSet(*(random_covariance(rng, k, kind) for _ in range(4)))
+
+
+# every shared-block spec, each spectral family, and diagonal and dense WLS
+OPERATOR_PART_SPECS = SHARED_BLOCK_SPECS + [
+    Spectral(make_basis(family, 16, 8), make_basis(family, 16, 8))
+    for family in ("cosine", "gram", "haar")
+] + [Weighted(covariance_set(np.random.default_rng(26), 16, kind))
+     for kind in ("diagonal", "dense")]
+OPERATOR_PART_IDS = SHARED_BLOCK_IDS + ["cosine", "gram", "haar", "wls-diagonal", "wls-dense"]
+
+
+class TestOperatorPart:
+    """A method's operator part is built from the spec and the operators
+    alone, so one part serves every gradient on its grid."""
+
+    @pytest.mark.parametrize("spec", OPERATOR_PART_SPECS, ids=OPERATOR_PART_IDS)
+    @pytest.mark.parametrize("hy", [0.7, 0.8], ids=["equal-axes", "unequal-spacing"])
+    def test_one_part_serves_two_gradients(self, spec, hy):
+        rng = np.random.default_rng(27)
+        grads = [GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)),
+                               hx=0.7, hy=hy) for _ in range(2)]
+        dx, dy = grads[0].operators(2)
+        part = methods._operator_part(dx, dy, spec)
+        systems = [part.system(g, dx, dy) for g in grads]
+        for g, system in zip(grads, systems):
+            fresh = assemble(g, dx, dy, spec)
+            for name in ("a", "b", "f", "g"):
+                assert np.array_equal(getattr(system, name), getattr(fresh, name))
+            for name in ("u", "v"):
+                want = getattr(fresh, name)
+                assert (getattr(system, name) is None if want is None
+                        else np.array_equal(getattr(system, name), want))
+            assert (system.shift, system.b is system.a) == (fresh.shift, fresh.b is fresh.a)
+            assert np.array_equal(part.to_surface(solve(system)),
+                                  reconstruct(g, dx, dy, spec).heights)
+        first, second = systems
+        assert not np.array_equal(first.f, second.f)
+        # the blocks and null vectors are the part's own, not rebuilt per gradient
+        assert first.a is second.a is part.a and first.b is second.b is part.b
+        for name in ("u", "v"):
+            vec = getattr(part, name)
+            assert all(getattr(s, name) is None if vec is None
+                       else np.shares_memory(getattr(s, name), vec) for s in systems)
+
+
+def hook_specs(g, rng):
+    """One spec of each kind a reconstruct can take, sized for g's grid."""
+    m, n = g.m, g.n
+    return {
+        "gls": Gls(), "tikhonov-0": Tikhonov(lam=0.3), "tikhonov-1": Tikhonov(lam=0.3, degree=1),
+        "tikhonov-2": Tikhonov(lam=0.3, mu=0.5, degree=2),
+        "tikhonov-reference": Tikhonov(lam=0.3, reference=rng.standard_normal((m, n))),
+        "dirichlet": Dirichlet(rng.standard_normal((m, n))),
+        "spectral": Spectral(cosine_basis(m, m // 2), cosine_basis(n, n // 2)),
+        "wls-diagonal": Weighted(CovarianceSet(*(random_covariance(rng, k, "diagonal")
+                                                 for k in (n, m, n, m)))),
+        "wls-dense": Weighted(CovarianceSet(*(random_covariance(rng, k, "dense")
+                                              for k in (n, m, n, m)))),
+    }
+
+
+@pytest.mark.parametrize("name", ["gls", "tikhonov-0", "tikhonov-1", "tikhonov-2",
+                                  "tikhonov-reference", "dirichlet", "spectral", "wls-diagonal",
+                                  "wls-dense"])
+@pytest.mark.parametrize("shape,order", [((16, 20), 2), ((33, 31), 2), ((64, 64), 2),
+                                         ((16, 20), 4), ((33, 31), 4), ((64, 64), 4)])
+def test_reconstruct_solves_through_the_hooked_name(monkeypatch, name, shape, order):
+    # the benchmark times each method's solve by wrapping methods.solve, so
+    # every reconstruct must call it exactly once, with the system it solves
+    rng = np.random.default_rng(28)
+    g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), hx=0.3, hy=0.4)
+    dx, dy = g.operators(order)
+    spec = hook_specs(g, rng)[name]
+    calls = []
+
+    def recorder(system):
+        calls.append((system, solve(system)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(methods, "solve", recorder)
+    reconstruct(g, dx, dy, spec)
+    assert len(calls) == 1
+    system, phi = calls[0]
+    assert isinstance(system, SylvesterSystem)
+    assert system.residual(phi) <= 1e-10 * np.linalg.norm(system.rhs())

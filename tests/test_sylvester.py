@@ -290,6 +290,33 @@ class TestShift:
             self.shifted_system(42, bad)
 
 
+class TestDivisorShift:
+    """The shift a factorization divides by obeys the finite-real rule."""
+
+    @staticmethod
+    def gls_factorization():
+        rng = np.random.default_rng(44)
+        g = GradientField(rng.standard_normal((8, 9)), rng.standard_normal((8, 9)))
+        return factor(assemble(g, *g.operators(2), Gls()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, "1"])
+    def test_bad_shift_refused(self, bad):
+        fac = self.gls_factorization()
+        with pytest.raises(ValueError, match="pencil shift"):
+            fac.divisor(bad)
+        with pytest.raises(ValueError, match="pencil shift"):
+            fac.divide(np.ones((8, 9)), bad)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.37, np.float64(2.5)])
+    def test_good_shift_moves_every_divisor(self, shift):
+        fac = self.gls_factorization()
+        want = fac.lp[:, None] + (fac.lq + shift)[None, :]
+        want[0, 0] = np.inf
+        assert np.array_equal(fac.divisor(shift), want)
+        c = np.random.default_rng(45).standard_normal((8, 9))
+        assert np.array_equal(fac.divide(c, shift), c / want)
+
+
 def eigh_shapes(monkeypatch, fn, *args):
     """Shapes of the arrays passed to np.linalg.eigh while fn(*args) runs."""
     calls = []
