@@ -662,16 +662,16 @@ class TestDirichletBoundary:
             reconstruct(g, dx, dy, Dirichlet(zb))
 
 
-def covariance_set(rng, k, kind):
-    """A covariance set on a k-by-k grid, every member diagonal or dense."""
-    return CovarianceSet(*(random_covariance(rng, k, kind) for _ in range(4)))
+def covariance_set(rng, m, n, kind):
+    """Covariances (xx, xy, yx, yy) for an m-by-n grid, all diagonal or all dense."""
+    return CovarianceSet(*(random_covariance(rng, k, kind) for k in (n, m, n, m)))
 
 
 # every shared-block spec, each spectral family, and diagonal and dense WLS
 OPERATOR_PART_SPECS = SHARED_BLOCK_SPECS + [
     Spectral(make_basis(family, 16, 8), make_basis(family, 16, 8))
     for family in ("cosine", "gram", "haar")
-] + [Weighted(covariance_set(np.random.default_rng(26), 16, kind))
+] + [Weighted(covariance_set(np.random.default_rng(26), 16, 16, kind))
      for kind in ("diagonal", "dense")]
 OPERATOR_PART_IDS = SHARED_BLOCK_IDS + ["cosine", "gram", "haar", "wls-diagonal", "wls-dense"]
 
@@ -719,10 +719,8 @@ def hook_specs(g, rng):
         "tikhonov-reference": Tikhonov(lam=0.3, reference=rng.standard_normal((m, n))),
         "dirichlet": Dirichlet(rng.standard_normal((m, n))),
         "spectral": Spectral(cosine_basis(m, m // 2), cosine_basis(n, n // 2)),
-        "wls-diagonal": Weighted(CovarianceSet(*(random_covariance(rng, k, "diagonal")
-                                                 for k in (n, m, n, m)))),
-        "wls-dense": Weighted(CovarianceSet(*(random_covariance(rng, k, "dense")
-                                              for k in (n, m, n, m)))),
+        "wls-diagonal": Weighted(covariance_set(rng, m, n, "diagonal")),
+        "wls-dense": Weighted(covariance_set(rng, m, n, "dense")),
     }
 
 
