@@ -81,18 +81,29 @@ def _check_counts(n: int, p: int) -> tuple[int, int]:
     return n, p
 
 
+def _mirror(top: np.ndarray, n: int) -> np.ndarray:
+    """The n rows whose first ceil(n/2) are ``top``, with column k of parity
+    (-1)^k bitwise (the odd columns zero on the middle row of an odd n)."""
+    # into a C-ordered array even when top is a transposed view
+    b = np.concatenate([top, top[:n // 2][::-1]], out=np.empty((n, top.shape[1])))
+    b[len(top):, 1::2] *= -1.0
+    if n % 2:
+        b[n // 2, 1::2] = 0.0
+    return b
+
+
 def cosine_basis(n: int, p: int) -> BasisSet:
     """First p orthonormal DCT-II functions on n nodes.
 
     Column k samples c_k * cos(pi*k*(2i+1)/(2n)) with c_0 = 1/sqrt(n) and
-    c_k = sqrt(2/n) otherwise, which is orthonormal by construction.
+    c_k = sqrt(2/n) otherwise, orthonormal by construction, on the first
+    ceil(n/2) nodes and reflected, so column k has parity (-1)^k bitwise.
     """
     n, p = _check_counts(n, p)
-    i = np.arange(n)
     k = np.arange(p)
-    b = np.cos(np.pi * np.outer(2 * i + 1, k) / (2.0 * n))
-    b *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
-    return BasisSet(entries=b, family="cosine")
+    top = np.cos(np.pi * np.outer(np.arange(1, n + 1, 2), k) / (2.0 * n))  # 2i+1, i < ceil(n/2)
+    top *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return BasisSet(entries=_mirror(top, n), family="cosine")
 
 
 def gram_basis(n: int, p: int) -> BasisSet:
@@ -114,19 +125,17 @@ def gram_basis(n: int, p: int) -> BasisSet:
     basis split into its two parity blocks (see ``sylvester.factor``).
     """
     n, p = _check_counts(n, p)
-    half, mirrored = (n + 1) // 2, n // 2
+    half = (n + 1) // 2
     x = np.linspace(-1.0, 1.0, n)[:half]
     w = np.full(half, 2.0)
     if n % 2:
         x[-1] = 0.0  # the middle node, exactly, so that odd columns vanish there
         w[-1] = 1.0
-    # half columns by parity, one per row: cols[k % 2][k // 2] is column k
-    cols = (np.empty(((p + 1) // 2, half)), np.empty((p // 2, half)))
-    cols[0][0] = 1.0 / np.sqrt(n)
-    prev = cols[0][0]
+    cols = np.empty((p, half))  # the half columns, one per row
+    cols[0] = 1.0 / np.sqrt(n)
     for k in range(1, p):
-        same = cols[k % 2][:k // 2]  # the earlier columns of k's parity
-        t = x * prev
+        same = cols[k % 2:k:2]  # the earlier columns of k's parity
+        t = x * cols[k - 1]
         if k >= 2:
             t -= same[-1] * (same[-1] @ (w * t))
         coeff = same @ (w * t)
@@ -135,13 +144,8 @@ def gram_basis(n: int, p: int) -> BasisSet:
         norm = np.sqrt(t @ (w * t))
         if norm <= 1e-300:
             raise ValueError(f"Gram recurrence broke down at degree {k} on {n} nodes")
-        prev = cols[k % 2][k // 2] = t / norm
-    b = np.empty((n, p))
-    b[:half, 0::2] = cols[0].T
-    b[:half, 1::2] = cols[1].T
-    b[half:] = b[:mirrored][::-1]
-    b[half:, 1::2] *= -1.0
-    return BasisSet(entries=b, family="gram")
+        cols[k] = t / norm
+    return BasisSet(entries=_mirror(cols.T, n), family="gram")
 
 
 def haar_basis(n: int, p: int) -> BasisSet:

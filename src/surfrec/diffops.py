@@ -81,7 +81,9 @@ class DiffMatrix:
 
         One pass over the stencil table that builds ``entries``, each entry
         value c / h its weight, so it is ``entries @ mat`` up to rounding and
-        ``entries`` itself, bitwise, for the identity.
+        ``entries`` itself, bitwise, for the identity.  Each end row sums the
+        reversed tail in its start row's order, so D maps an exactly even or
+        odd column (under row reversal) to an exactly odd or even one.
         """
         mat, n = np.asarray(mat, dtype=float), self.n
         if mat.shape[0] != n:
@@ -95,8 +97,10 @@ class DiffMatrix:
             diff = mat[w + k:n - w + k] - mat[w - k:n - w - k]
             diff *= centre[k - 1]
             inner += diff
-        out[:w] = start @ mat[:width]
-        out[n - w:] = -start[::-1, ::-1] @ mat[n - width:]
+        # both ends in one product, the tail reversed and negated, so that
+        # each end row rounds exactly as its mirrored start row does
+        ends = start @ np.stack((mat[:width], -mat[::-1][:width]))
+        out[:w], out[n - w:] = ends[0], ends[1, ::-1]
         return out
 
 

@@ -256,7 +256,11 @@ def _spectral(dx, dy, spec: Spectral) -> _OperatorPart:
     a = dy.left_product(by.entries)
     # equal operators and bases give one operator block for both axes
     same = dx == dy and np.array_equal(by.entries, bx.entries)
-    return _OperatorPart(a, a if same else dx.left_product(bx.entries),
+    b = a if same else dx.left_product(bx.entries)
+    for blk, basis in ((a, by), (b, bx)):
+        if 0 in basis.columns:  # D annihilates the constant: exact zeros, not rounding
+            blk[:, basis.columns.index(0)] = 0.0
+    return _OperatorPart(a, b,
                          lambda zy, zx: (zy @ bx.entries, by.entries.T @ zx),
                          lambda coeff: by.entries @ coeff @ bx.entries.T, u, v)
 

@@ -12,16 +12,15 @@ eigendecompositions of A.T A and B.T B (a :class:`Factorization`), in
 whose basis :func:`solve` divides the equation elementwise.  It calls
 ``eigh`` once per coefficient block: when B is A itself (the one block a
 builder passes for equal blocks on both axes, as on a square grid with
-equal spacing) both sides share one eigendecomposition, and a checkerboard
-coefficient (a cosine or Gram spectral Gram, whose even-to-odd entries
-vanish but for rounding) is diagonalized as one batch of its two parity
-blocks.  When A and B each annihilate a known vector (u and v), the
-operator has the rank-one null space u v.T, the single zero eigenvalue pair
-in that basis.  The factorization carries u and v: it pins that pair's
-coefficient at zero and projects u v.T out of every solution it maps back,
-so whoever solves gets u.T Phi v = 0 (mean free in the unweighted case).
-The shift always goes to the divisor, so one factorization serves every
-shift.
+equal spacing) both sides share one eigendecomposition, and a block whose
+columns are each exactly even or odd about the grid's middle (cosine or
+Gram spectral) is diagonalized as one batch of its two parity groups.  When
+A and B each annihilate a known vector (u and v), the operator has the
+rank-one null space u v.T, the single zero eigenvalue pair in that basis.
+The factorization carries u and v: it pins that pair's coefficient at zero
+and projects u v.T out of every solution it maps back, so whoever solves
+gets u.T Phi v = 0 (mean free in the unweighted case).  The shift always
+goes to the divisor, so one factorization serves every shift.
 
 The paper removes the null space by Householder deflation before solving,
 because the Bartels-Stewart algorithm cannot take a singular pencil.  The
@@ -42,7 +41,6 @@ from .errors import DimensionError, SingularSystemError, finite_real
 _SYM_TOL = 1e-10
 _PENCIL_TOL = 1e-12
 _NULL_TOL = 1e-8
-_EPS = np.finfo(float).eps
 
 
 def _require_symmetric(name: str, mat: np.ndarray) -> np.ndarray:
@@ -226,46 +224,50 @@ class SylvesterSystem:
         )
 
 
-def _eigh_pair(p: np.ndarray, q: np.ndarray):
-    """Ascending eigendecompositions (lp, up, lq, uq) of the symmetric
-    coefficients P and Q, with one ``eigh`` call each, or one for both
-    when Q is P.
+def _parity_groups(blk: np.ndarray):
+    """Column positions (even, odd) of ``blk`` under row reversal, or None
+    unless each column is bitwise one of them and both occur (zero is odd)."""
+    m, k = blk.shape
+    if k < 2 or not np.all((blk[0] == blk[-1]) | (blk[0] == -blk[-1])):
+        return None  # the end rows reject a stencil block in O(k)
+    # the halves meet at the middle row of an odd m, which is zero in an odd column
+    top, rev = blk[:(m + 1) // 2], blk[::-1][:(m + 1) // 2]
+    odd = np.all(top == -rev, axis=0)
+    split = 0 < np.count_nonzero(odd) < k and np.all(odd | np.all(top == rev, axis=0))
+    return (np.flatnonzero(~odd), np.flatnonzero(odd)) if split else None
 
-    A Gram of order k >= 2 whose even-to-odd entries all lie within k * eps
-    of its largest diagonal entry (which bounds every entry) is a
-    checkerboard: a spectral Gram of a parity basis such as cosine or Gram
-    polynomials (J b_k = (-1)^k b_k, kept by the stencils, J D J = -D).
-    Its parity blocks, of orders ceil(k/2) and floor(k/2), are diagonalized
-    as one batch and merged in ascending order (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976).  For odd k the smaller block is padded with a
-    decoupled diagonal entry above the Gershgorin bound of both blocks, so
-    its eigenpair comes last in the batch and is dropped.  An off-parity
-    entry above that bound in the top-left corner rejects a matrix before
-    the full scan, so a stencil Gram pays almost nothing for the test.
+
+def _eigh_pair(a: np.ndarray, b: np.ndarray):
+    """Ascending eigendecompositions (lp, up, lq, uq) of A.T A and B.T B,
+    with one ``eigh`` call each, or one for both when B is A.
+
+    When each column of a block is bitwise even or odd under the row
+    reversal J, the orthogonal J fixes one group and negates the other, so
+    their cross Gram vanishes (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).  The groups' own Grams then go to one batched ``eigh``, the
+    smaller padded with decoupled diagonal entries above every eigenvalue,
+    whose eigenpairs come last and are dropped, and the rest are merged in
+    ascending order.  Any other block takes a plain ``eigh`` of its Gram.
     """
     pairs = []
-    for mat in (p,) if q is p else (p, q):
-        k = mat.shape[0]
-        off = mat[0::2, 1::2]
-        bound = k * _EPS * np.max(np.diagonal(mat), initial=0.0)
-        if k < 2 or np.max(np.abs(off[:4, :4])) > bound or np.max(np.abs(off)) > bound:
-            pairs.append(np.linalg.eigh(mat))
+    for blk in (a,) if b is a else (a, b):
+        groups = _parity_groups(blk)
+        if groups is None:
+            pairs.append(np.linalg.eigh(blk.T @ blk))
             continue
-        even, odd = (k + 1) // 2, k // 2
-        blocks = np.zeros((2, even, even))
-        blocks[0] = mat[0::2, 0::2]
-        blocks[1, :odd, :odd] = mat[1::2, 1::2]
-        if odd < even:
-            blocks[1, -1, -1] = 2.0 * np.max(np.sum(np.abs(mat), axis=1)) or 1.0
-        lam, vec = np.linalg.eigh(blocks)
-        lam = np.concatenate([lam[0], lam[1, :odd]])
-        order = np.argsort(lam, kind="stable")
-        rank = np.empty(k, dtype=np.intp)
-        rank[order] = np.arange(k)
-        evecs = np.zeros((k, k))  # each block's vectors go straight to their sorted columns
-        evecs[0::2, rank[:even]] = vec[0]
-        evecs[1::2, rank[even:]] = vec[1, :odd, :odd]
-        pairs.append((lam[order], evecs))
+        grams = [x.T @ x for x in (np.take(blk, g, axis=1) for g in groups)]
+        pad = 2.0 * max(map(np.trace, grams))  # a Gram's trace bounds its eigenvalues
+        batch = np.zeros((2, *max(gram.shape for gram in grams)))
+        for slot, gram in zip(batch, grams):
+            slot[:len(gram), :len(gram)] = gram
+            np.fill_diagonal(slot[len(gram):, len(gram):], pad)
+        lam, vec = np.linalg.eigh(batch)
+        lam = np.concatenate([lam[0, :len(groups[0])], lam[1, :len(groups[1])]])
+        rank = np.argsort(np.argsort(lam, kind="stable"))  # each eigenpair's sorted position
+        evecs = np.zeros((len(lam), len(lam)))
+        for g, cols, v in zip(groups, np.split(rank, [len(groups[0])]), vec):
+            evecs[np.ix_(g, cols)] = v[:len(g), :len(g)]  # straight to their sorted columns
+        pairs.append((np.sort(lam), evecs))
     return (*pairs[0], *pairs[-1])
 
 
@@ -282,16 +284,12 @@ def factor(system: SylvesterSystem) -> Factorization:
     ``eigh`` runs once per coefficient block.  When B is A itself (the one
     block ``assemble`` passes for equal blocks on both axes of a square
     grid) B.T B is not formed and both sides get the same eigenpairs; equal
-    but distinct blocks are factored twice.
-    A checkerboard coefficient (cosine or Gram spectral, of any size) is
-    diagonalized as one batch of its two parity blocks; its eigenpairs then
-    differ from a full ``eigh`` only by rounding.  Every other coefficient
-    takes a plain ``eigh``, so its eigenpairs are bitwise those of the full
-    call.
+    but distinct blocks are factored twice.  A block whose columns are each
+    bitwise even or odd under row reversal (cosine or Gram spectral, or any
+    column subset of one) is split by parity (see ``_eigh_pair``), which
+    moves its eigenpairs by rounding only; any other takes a plain ``eigh``.
     """
-    a, b = system.a, system.b
-    gram = a.T @ a
-    lp, up, lq, uq = _eigh_pair(gram, gram if b is a else b.T @ b)
+    lp, up, lq, uq = _eigh_pair(system.a, system.b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
     scale = np.max(np.abs(lp), initial=0.0) + np.max(np.abs(lq), initial=0.0)
     if system.u is None:

@@ -54,23 +54,9 @@ class TestGram:
         b = gram_basis(400, 60).entries
         assert np.max(np.abs(b.T @ b - np.eye(60))) <= 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 2048])
-    def test_parity_is_exact(self, n):
-        b = gram_basis(n, n if n < 100 else n // 2).entries
-        sign = (-1.0) ** np.arange(b.shape[1])
-        assert np.array_equal(b[::-1], b * sign)
-
     def test_stays_orthonormal_at_2048_nodes(self):
         b = gram_basis(2048, 1024).entries
         assert np.max(np.abs(b.T @ b - np.eye(1024))) <= 1e-11
-
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_spectral_gram_is_a_checkerboard(self, order):
-        # the test sylvester.factor makes before it splits a coefficient
-        a = diff_matrix(1019, 0.7, order).left_product(gram_basis(1019, 510).entries)
-        mat = a.T @ a
-        bound = mat.shape[0] * np.finfo(float).eps * np.max(np.diagonal(mat))
-        assert np.max(np.abs(mat[0::2, 1::2])) <= bound
 
 
 class TestHaar:
@@ -102,6 +88,26 @@ class TestHaar:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             haar_basis(6, 4)
+
+
+@pytest.mark.parametrize("build", [cosine_basis, gram_basis], ids=["cosine", "gram"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 2048])
+def test_parity_is_exact(build, n):
+    b = build(n, n if n < 100 else n // 2).entries
+    sign = (-1.0) ** np.arange(b.shape[1])
+    assert np.array_equal(b[::-1], b * sign)
+
+
+@pytest.mark.parametrize("build", [cosine_basis, gram_basis], ids=["cosine", "gram"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [7, 8, 101, 512, 1019])
+def test_stencil_product_keeps_parity_bitwise(build, order, n):
+    # D flips column k's parity (-1)^k exactly, the fact sylvester.factor
+    # reads off a spectral block to split its Gram
+    b = build(n, n if n < 600 else n // 2).entries
+    a = diff_matrix(n, 0.7, order).left_product(b)
+    sign = -(-1.0) ** np.arange(b.shape[1])
+    assert np.array_equal(a[::-1], a * sign)
 
 
 @pytest.mark.parametrize("build", FAMILIES)

@@ -87,6 +87,16 @@ class TestDiffMatrix:
         mat = rng.standard_normal((n, 7))
         assert np.max(np.abs(d.left_product(mat) - d.entries @ mat)) <= 1e-12
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n,order", [(8, 2), (9, 2), (8, 4), (9, 4), (64, 4)])
+    def test_left_product_matches_dense_multiply_in_either_layout(self, layout, n, order):
+        # apply_dx passes F-ordered arrays, whose rows are strided
+        rng = np.random.default_rng(10)
+        d = diff_matrix(n, 0.37, order)
+        mat = np.asarray(rng.standard_normal((n, 6)), order=layout)
+        want = d.entries @ mat
+        assert np.max(np.abs(d.left_product(mat) - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed-view"])
     def test_order_two_interior_equals_the_difference_expression_bitwise(self, transposed):
         rng = np.random.default_rng(9)

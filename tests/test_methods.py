@@ -218,6 +218,22 @@ class TestAssemble:
         bandpass = assemble(g, dx, dy, Spectral(by.drop([0]), bx.drop([0])))
         assert bandpass.u is None and bandpass.v is None
 
+    @pytest.mark.parametrize("build", [cosine_basis, gram_basis], ids=["cosine", "gram"])
+    def test_spectral_block_of_the_constant_alone_is_exactly_null(self, build):
+        # D times the constant is rounding alone; written as exact zeros, it
+        # satisfies the declared null pair however small the block's norm is
+        rng = np.random.default_rng(25)
+        g = GradientField(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+        dx, dy = g.operators(2)
+        spec = Spectral(build(3, 1), build(4, 2))
+        assert not np.any(assemble(g, dx, dy, spec).a)
+        by, bx = spec.basis_y.entries, spec.basis_x.entries
+        # the one free coefficient fits G = by.T Zx against D_x times column 1
+        slope = dx.left_product(bx)[:, 1]
+        want = ((by.T @ g.zx @ slope)[0] / (slope @ slope)) * np.outer(by[:, 0], bx[:, 1])
+        got = reconstruct(g, dx, dy, spec).heights
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_spectral_axes_with_equal_spacing_and_basis_share_one_block(self):
         rng = np.random.default_rng(23)
         g = GradientField(rng.standard_normal((16, 16)), rng.standard_normal((16, 16)),
@@ -225,7 +241,9 @@ class TestAssemble:
         dx, dy = g.operators(2)
         system = assemble(g, dx, dy, Spectral(cosine_basis(16, 8), cosine_basis(16, 8)))
         assert system.b is system.a
-        assert np.array_equal(system.a, dy.left_product(cosine_basis(16, 8).entries))
+        want = dy.left_product(cosine_basis(16, 8).entries)
+        want[:, 0] = 0.0  # D times the constant, written as exact zeros
+        assert np.array_equal(system.a, want)
 
     @pytest.mark.parametrize("hy,bx", [(0.8, cosine_basis(16, 8)), (0.7, gram_basis(16, 8)),
                                        (0.7, cosine_basis(16, 9).drop([0]))])
@@ -236,7 +254,10 @@ class TestAssemble:
         dx, dy = g.operators(2)
         system = assemble(g, dx, dy, Spectral(cosine_basis(16, 8), bx))
         assert system.b is not system.a
-        assert np.array_equal(system.b, dx.left_product(bx.entries))
+        want = dx.left_product(bx.entries)
+        if 0 in bx.columns:
+            want[:, bx.columns.index(0)] = 0.0  # D times the constant, written as exact zeros
+        assert np.array_equal(system.b, want)
 
     @pytest.mark.parametrize("spec", SHARED_BLOCK_SPECS, ids=SHARED_BLOCK_IDS)
     def test_equal_axes_share_one_block(self, spec):

@@ -8,7 +8,7 @@ from surfrec import (
     work_estimate,
 )
 from surfrec.simulate import run_method
-from surfrec.sylvester import _eigh_pair, factor
+from surfrec.sylvester import _eigh_pair, _parity_groups, factor
 
 
 def kron_sylvester_solve(p, q, c):
@@ -436,9 +436,10 @@ def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=
 
 
 class TestParitySplit:
-    """A checkerboard coefficient (a cosine or Gram spectral Gram, of any
-    order k >= 2) is diagonalized as one batched eigh of its two parity
-    blocks; every other coefficient takes a plain eigh."""
+    """A block whose columns are each bitwise even or odd under row reversal
+    (a cosine or Gram spectral block, or any column subset of one) is
+    diagonalized as one batched eigh of its two parity groups; every other
+    block takes a plain eigh."""
 
     def test_cosine_sides_each_pass_one_stack(self, monkeypatch):
         g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
@@ -470,21 +471,6 @@ class TestParitySplit:
         g, dx, dy, spec = spectral_system(m, n, p, q, order, family)
         assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(p, p), (q, q)]
 
-    @pytest.mark.parametrize("row,col", [(0, 3), (13, 24)], ids=["corner", "interior"])
-    def test_tolerance_is_order_times_eps_of_largest_diagonal(self, monkeypatch, row, col):
-        _, dx, _, spec = spectral_system(40, 40, 40, 32, 4)
-        a = dx.left_product(spec.basis_x.entries)
-        mat = a.T @ a
-        mat[0::2, 1::2] = mat[1::2, 0::2] = 0.0  # an exact checkerboard
-        k = mat.shape[0]
-        bound = k * np.finfo(float).eps * np.max(np.diagonal(mat))
-        for factor_, want in ((0.9, [(2, k // 2, k // 2)]), (1.1, [(k, k)])):
-            m2 = mat.copy()
-            m2[row, col] = m2[col, row] = factor_ * bound
-            other = np.eye(3)
-            other[0, 1] = other[1, 0] = 0.5  # off parity: a plain eigh
-            assert eigh_shapes(monkeypatch, _eigh_pair, m2, other) == want + [(3, 3)]
-
     @staticmethod
     def check_diagonalizes(m, n, p, q, order):
         g, dx, dy, spec = spectral_system(m, n, p, q, order)
@@ -510,16 +496,60 @@ class TestParitySplit:
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_smallest_checkerboards_split(self, monkeypatch, k):
+        # nine rows, column j of exact parity (-1)^j: zero on the middle row
+        # when odd, and a checkerboard Gram
         rng = np.random.default_rng(57)
-        mat = np.zeros((k, k))
-        for par in (0, 1):
-            x = rng.standard_normal((k, k))[par::2, par::2]
-            mat[par::2, par::2] = x @ x.T
-        shapes = eigh_shapes(monkeypatch, _eigh_pair, mat, mat)
+        top = rng.standard_normal((5, k))
+        top[-1, 1::2] = 0.0
+        blk = np.vstack([top, (top * (-1.0) ** np.arange(k))[-2::-1]])
+        mat = blk.T @ blk
+        shapes = eigh_shapes(monkeypatch, _eigh_pair, blk, blk)
         assert shapes == [(2, (k + 1) // 2, (k + 1) // 2)]
-        lam, vec = _eigh_pair(mat, mat)[:2]
+        lam, vec = _eigh_pair(blk, blk)[:2]
         assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * np.max(np.abs(mat))
         assert np.max(np.abs((vec * lam) @ vec.T - mat)) <= 1e-13 * np.max(np.abs(mat))
+
+    def test_band_pass_groups_by_parity_not_position(self, monkeypatch):
+        # without labels 0 and 2 the parities no longer alternate by position:
+        # labels 1, 3, 4, 5 (and on to 7) split 3 + 1 (and 4 + 2)
+        g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
+        spec = Spectral(spec.basis_y.drop([0, 2]), spec.basis_x.drop([0, 2]))
+        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 3, 3), (2, 4, 4)]
+        system = assemble(g, dx, dy, spec)
+        want = self.heights(spec, general_solve(system))
+        got = self.heights(spec, solve(system))
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("row", [0, 5, 19], ids=["first-row", "interior-row", "middle-row"])
+    def test_one_ulp_off_parity_takes_the_plain_eigh(self, monkeypatch, row):
+        # 39 rows: row 19 is the middle one, zero in every odd column
+        _, _, dy, spec = spectral_system(39, 16, 12, 8, 4)
+        blk = dy.left_product(spec.basis_y.entries)
+        assert eigh_shapes(monkeypatch, _eigh_pair, blk, blk) == [(2, 6, 6)]
+        blk[row, 4] = np.nextafter(blk[row, 4], np.inf)
+        assert eigh_shapes(monkeypatch, _eigh_pair, blk, blk) == [(12, 12)]
+
+    def test_dense_covariance_takes_the_general_path(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
+        dense = {}
+        for name, k in (("xx", 16), ("xy", 12), ("yx", 16), ("yy", 12)):
+            x = rng.standard_normal((k, k))
+            dense[name] = x @ x.T + k * np.eye(k)
+        spec = Weighted(CovarianceSet(**dense))
+        shapes = eigh_shapes(monkeypatch, run_method, g, *g.operators(2), spec)
+        assert shapes == [(12, 12), (16, 16)]
+
+    @pytest.mark.parametrize("family", [cosine_basis, gram_basis], ids=["cosine", "gram"])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_split_and_plain_eigenvalues_agree(self, family, order):
+        g, dx, dy, spec = spectral_system(41, 36, 21, 18, order, family)
+        system = assemble(g, dx, dy, spec)
+        fac = factor(system)
+        for blk, lam in ((system.a, fac.lp), (system.b, fac.lq)):
+            assert _parity_groups(blk) is not None
+            plain = np.linalg.eigh(blk.T @ blk)[0]
+            assert np.max(np.abs(lam - plain)) <= 1e-13 * np.max(plain)
 
     @staticmethod
     def heights(spec, coeff):
