@@ -25,7 +25,8 @@ class BasisSet:
     band-pass slice taken with :meth:`subset` remembers which original
     functions it kept (in particular whether the constant, index 0, is
     present).  The entries must be a finite, non-empty 2-d matrix and the
-    labels distinct.
+    labels distinct.  They are stored C-ordered, so the caller's layout
+    cannot change a solve's rounding or speed.
     """
 
     entries: np.ndarray
@@ -33,7 +34,7 @@ class BasisSet:
     columns: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        entries = _check_grid("entries", self.entries)
+        entries = np.ascontiguousarray(_check_grid("entries", self.entries))
         object.__setattr__(self, "entries", entries)
         if not self.columns:
             object.__setattr__(self, "columns", tuple(range(entries.shape[1])))
@@ -160,20 +161,13 @@ def haar_basis(n: int, p: int) -> BasisSet:
         raise ValueError(f"Haar basis requires a power-of-two node count, got {n}")
     b = np.zeros((n, p))
     b[:, 0] = 1.0 / np.sqrt(n)
-    col = 1
-    level = 0
-    while col < p:
+    for col in range(1, p):
+        level = col.bit_length() - 1  # columns 2**level .. 2**(level+1) - 1 share a width
         width = n >> level
-        for shift in range(1 << level):
-            if col >= p:
-                break
-            start = shift * width
-            half = width // 2
-            amp = np.sqrt(1.0 / width)
-            b[start:start + half, col] = amp
-            b[start + half:start + width, col] = -amp
-            col += 1
-        level += 1
+        start = (col - (1 << level)) * width
+        amp = np.sqrt(1.0 / width)
+        b[start:start + width // 2, col] = amp
+        b[start + width // 2:start + width, col] = -amp
     return BasisSet(entries=b, family="haar")
 
 

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .basis import make_basis
+from .basis import BasisSet, make_basis
 from .diffops import GradientField, Surface
 from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError, whole_number
 from .gridio import atomic_write, read_grid, write_grid
@@ -65,18 +65,25 @@ def _cmd_gls(args) -> int:
     return _reconstruct_and_report(args, lambda g: Gls())
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(text: str, kind) -> list:
+    """The comma-separated values of ``text`` converted by ``kind``; blanks are skipped."""
+    return [kind(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _basis_pair(family: str, m: int, n: int, p=None, q=None) -> tuple[BasisSet, BasisSet]:
+    """(y, x) bases of ``family`` on an m-by-n grid, p and q wide (default ceil(m/2), ceil(n/2));
+    one object serves both axes when (m, p) == (n, q)."""
+    p = math.ceil(m / 2) if p is None else p
+    q = math.ceil(n / 2) if q is None else q
+    by = make_basis(family, m, p)
+    return by, by if (n, q) == (m, p) else make_basis(family, n, q)
 
 
 def _cmd_spectral(args) -> int:
     def spec_of(g: GradientField) -> Spectral:
-        p = args.p if args.p is not None else math.ceil(g.m / 2)
-        q = args.q if args.q is not None else math.ceil(g.n / 2)
-        by = make_basis(args.basis, g.m, p)
-        bx = by if (g.n, q) == (g.m, p) else make_basis(args.basis, g.n, q)
+        by, bx = _basis_pair(args.basis, g.m, g.n, args.p, args.q)
         if args.drop_cols:
-            dropped = _parse_int_list(args.drop_cols)
+            dropped = _parse_list(args.drop_cols, int)
             widest = max(by.p, bx.p)
             if any(c >= widest for c in dropped):
                 raise ValueError(f"--drop-cols index out of range 0..{widest - 1} on both axes")
@@ -150,25 +157,17 @@ def _cmd_lcurve(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
 def _cmd_simulate(args) -> int:
     from . import regparam, simulate
 
     spec = simulate.default_bump_spec(args.rows, args.cols)
     z_true, g_true = simulate.bump_surface(spec)
-    m, n = g_true.m, g_true.n
-    levels = _parse_float_list(args.levels)
+    levels = _parse_list(args.levels, float)
     if not levels:
         raise ValueError("--levels needs at least one noise level")
     methods = [
         ("gls", Gls()),
-        ("spectral_half", Spectral(
-            basis_y=make_basis(args.basis, m, math.ceil(m / 2)),
-            basis_x=make_basis(args.basis, n, math.ceil(n / 2)),
-        )),
+        ("spectral_half", Spectral(*_basis_pair(args.basis, g_true.m, g_true.n))),
         ("tikhonov_lcurve", regparam.LCurveTikhonov()),
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
@@ -181,8 +180,7 @@ def _cmd_simulate(args) -> int:
     if args.dump:
         # written after monte_carlo, which refuses a bad trial count or order,
         # and before the metrics, so a bad prefix leaves no metrics file
-        g0 = simulate.add_noise(g_true, simulate.NoiseSpec(
-            _NOISE_FLAGS[args.noise], levels[0], simulate.trial_seed(args.seed, 0, 0)))
+        g0 = simulate.cell_gradient(g_true, _NOISE_FLAGS[args.noise], levels[0], args.seed, 0, 0)
         write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
         write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
         write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
@@ -198,8 +196,7 @@ def _bench_spec(name: str, g: GradientField):
     if name == "gls":
         return Gls()
     if name == "spectral":
-        return Spectral(basis_y=make_basis("cosine", m, math.ceil(m / 2)),
-                        basis_x=make_basis("cosine", n, math.ceil(n / 2)))
+        return Spectral(*_basis_pair("cosine", m, n))
     if name == "tikhonov":
         return Tikhonov(lam=1.0)
     if name == "dirichlet":
@@ -248,13 +245,11 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, order: int = 2) -> list[d
 
 
 def _cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes)
+    sizes = _parse_list(args.sizes, int)
     rows = run_bench(sizes, repeats=args.repeats, seed=args.seed, order=args.order)
-    _write_csv_atomic(
-        args.out, ["method", "size", "seconds", "seconds_min", "repeats"],
-        [[r["method"], r["size"], repr(r["seconds"]), repr(r["seconds_min"]), r["repeats"]]
-         for r in rows],
-    )
+    # the columns are run_bench's row keys, the method name first
+    _write_csv_atomic(args.out, list(rows[0]),
+                      [[r["method"], *map(repr, list(r.values())[1:])] for r in rows])
     return 0
 
 

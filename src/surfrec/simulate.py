@@ -25,7 +25,7 @@ import io
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -199,17 +199,14 @@ def radial_covariance_set(g: GradientField) -> CovarianceSet:
 
 
 def boundary_frame(z) -> np.ndarray:
-    """Grid holding z's boundary frame with a zero interior.
+    """A copy of z with its interior zeroed, leaving the boundary frame.
 
     The usual input for a boundary-constrained reconstruction when the true
     edge heights are known.
     """
     heights = z.heights if isinstance(z, Surface) else np.asarray(z, dtype=float)
-    frame = np.zeros_like(heights)
-    frame[0, :] = heights[0, :]
-    frame[-1, :] = heights[-1, :]
-    frame[:, 0] = heights[:, 0]
-    frame[:, -1] = heights[:, -1]
+    frame = heights.copy()
+    frame[1:-1, 1:-1] = 0.0
     return frame
 
 
@@ -354,19 +351,11 @@ class MonteCarloResult:
     trials: tuple[TrialRecord, ...]
 
     def to_csv(self) -> str:
+        """One row per cell under the ``CellStats`` field names; numbers by repr."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "method", "level", "cost_mean", "cost_std",
-            "rel_error_mean", "rel_error_std", "ks_mean", "ks_std",
-        ])
-        for cell in self.cells:
-            writer.writerow([
-                cell.method, repr(cell.level),
-                repr(cell.cost_mean), repr(cell.cost_std),
-                repr(cell.rel_error_mean), repr(cell.rel_error_std),
-                repr(cell.ks_mean), repr(cell.ks_std),
-            ])
+        writer.writerow(f.name for f in fields(CellStats))
+        writer.writerows([cell.method, *map(repr, astuple(cell)[1:])] for cell in self.cells)
         return buf.getvalue()
 
 
@@ -376,6 +365,15 @@ def trial_seed(base_seed: int, level_index: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def cell_gradient(g_true: GradientField, kind: str, level: float, base_seed: int,
+                  level_index: int, trial_index: int) -> GradientField:
+    """One (level, trial) cell's gradient: ``g_true`` with ``kind`` noise at
+    ``level``, seeded by :func:`trial_seed`.  Every method of the cell in
+    :func:`monte_carlo` sees it; ``surfrec simulate --dump`` writes cell (0, 0)'s."""
+    seed = trial_seed(base_seed, level_index, trial_index)
+    return add_noise(g_true, NoiseSpec(kind, level, seed))
+
+
 def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
                 surface_spec: BumpSurfaceSpec | None = None,
                 order: int = 4) -> MonteCarloResult:
@@ -383,11 +381,11 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
 
     ``methods`` is a sequence of (label, spec) pairs; ``noise`` supplies the
     model kind (its level and seed are overridden per cell).  All methods in
-    a cell see the same noisy data, drawn from a seed derived from
-    (base_seed, level index, trial index), so runs are reproducible and
-    methods directly comparable.  The default fourth-order operators keep the
-    discretization error of the non-polynomial test surface well below the
-    injected noise.  A repeated level or label is refused: its cells would
+    a cell see the same noisy data, :func:`cell_gradient`, drawn from a seed
+    derived from (base_seed, level index, trial index), so runs are
+    reproducible and methods directly comparable.  The default fourth-order
+    operators keep the discretization error of the non-polynomial test
+    surface well below the injected noise.  A repeated level or label is refused: its cells would
     pool each other's trials.
     """
     trials = whole_number("trials", trials, 1)
@@ -405,8 +403,7 @@ def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(trials):
-            cell_noise = NoiseSpec(noise.kind, level, trial_seed(base_seed, li, ti))
-            g_noisy = add_noise(g_true, cell_noise)
+            g_noisy = cell_gradient(g_true, noise.kind, level, base_seed, li, ti)
             for label, method in methods:
                 z = run_method(g_noisy, dx, dy, method)
                 records.append(TrialRecord(

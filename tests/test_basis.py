@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    BasisSet, DimensionError, cosine_basis, diff_matrix, gram_basis, haar_basis, make_basis,
+    BasisSet, DimensionError, GradientField, Spectral, cosine_basis, diff_matrix, gram_basis,
+    haar_basis, make_basis, reconstruct,
 )
 
 FAMILIES = [cosine_basis, gram_basis, haar_basis]
@@ -88,6 +89,58 @@ class TestHaar:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             haar_basis(6, 4)
+
+
+def _haar_by_levels(n, p):
+    """Haar columns built level by level, coarse to fine, with an explicit
+    column counter: the construction that ``haar_basis``'s one loop over the
+    columns replaced, kept as its reference."""
+    b = np.zeros((n, p))
+    b[:, 0] = 1.0 / np.sqrt(n)
+    col = 1
+    level = 0
+    while col < p:
+        width = n >> level
+        for shift in range(1 << level):
+            if col >= p:
+                break
+            start = shift * width
+            half = width // 2
+            amp = np.sqrt(1.0 / width)
+            b[start:start + half, col] = amp
+            b[start + half:start + width, col] = -amp
+            col += 1
+        level += 1
+    return b
+
+
+HAAR_SWEEP = sorted({(n, p) for n in (2 ** k for k in range(11))
+                     for p in (1, 2, 3, n // 2, n - 1, n) if 1 <= p <= n})
+
+
+@pytest.mark.parametrize("n,p", HAAR_SWEEP)
+def test_haar_matches_level_by_level_construction(n, p):
+    assert np.array_equal(haar_basis(n, p).entries, _haar_by_levels(n, p))
+
+
+@pytest.mark.parametrize("build", [cosine_basis, gram_basis], ids=["cosine", "gram"])
+def test_basis_layout_does_not_change_a_spectral_solve(build):
+    # an F-ordered copy is stored C-ordered, so the solve rounds exactly as
+    # with the original; kept in F order, this grid's surface moved by an ulp
+    rng = np.random.default_rng(5)
+    g = GradientField(rng.standard_normal((24, 20)), rng.standard_normal((24, 20)))
+    dx, dy = g.operators(2)
+    by, bx = build(24, 12), build(20, 10)
+    f_by, f_bx = (BasisSet(np.asfortranarray(b.entries), b.family) for b in (by, bx))
+    assert f_by.entries.flags.c_contiguous and f_bx.entries.flags.c_contiguous
+    assert by.subset([0, 2, 3]).entries.flags.c_contiguous
+    z = reconstruct(g, dx, dy, Spectral(by, bx)).heights
+    assert np.array_equal(reconstruct(g, dx, dy, Spectral(f_by, f_bx)).heights, z)
+
+
+def test_c_ordered_entries_are_kept_not_copied():
+    entries = cosine_basis(6, 3).entries
+    assert BasisSet(entries, "cosine").entries is entries
 
 
 @pytest.mark.parametrize("build", [cosine_basis, gram_basis], ids=["cosine", "gram"])

@@ -12,7 +12,8 @@ from surfrec import (
     GradientField, Spectral, apply_dx, apply_dy, diff_matrix, make_basis, read_grid,
     reconstruct, write_grid,
 )
-from surfrec.cli import _BENCH_METHODS, main, run_bench
+from surfrec import simulate
+from surfrec.cli import _BENCH_METHODS, _basis_pair, _parse_list, main, run_bench
 
 
 def discrete_gradient_files(tmp_path, n=12, seed=80):
@@ -258,6 +259,16 @@ class TestSimulateCommand:
         cost = printed_cost(capsys)
         assert cost <= 1e-3
 
+    def test_dump_is_the_first_cells_gradient(self, tmp_path):
+        prefix = tmp_path / "dump"
+        assert main(["simulate", "--rows", "20", "--cols", "18", "--trials", "1",
+                     "--noise", "radial", "--levels", "0.05,0.1", "--seed", "7", "--order", "2",
+                     "--out", str(tmp_path / "m.csv"), "--dump", str(prefix)]) == 0
+        _, g_true = simulate.bump_surface(simulate.default_bump_spec(20, 18))
+        g0 = simulate.cell_gradient(g_true, "heteroscedastic_radial", 0.05, 7, 0, 0)
+        assert np.array_equal(read_grid(f"{prefix}_zx.g2s").values, g0.zx)
+        assert np.array_equal(read_grid(f"{prefix}_zy.g2s").values, g0.zy)
+
     @pytest.mark.parametrize("flags,label", [
         (["--trials", "0", "--rows", "16", "--cols", "16"], "invalid argument"),
         (["--trials", "1", "--rows", "20", "--cols", "16", "--basis", "haar"], "invalid argument"),
@@ -275,6 +286,31 @@ class TestSimulateCommand:
         for name in ("zx", "zy", "ztrue"):
             assert not (tmp_path / f"dump_{name}.g2s").exists()
         assert not out.exists()
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("m,n,p,q,widths", [
+        (9, 9, None, None, (5, 5)), (9, 12, None, None, (5, 6)), (12, 9, 6, None, (6, 5)),
+        (8, 8, 3, 5, (3, 5)), (8, 10, 4, 4, (4, 4)),
+    ])
+    def test_basis_pair_widths(self, m, n, p, q, widths):
+        by, bx = _basis_pair("gram", m, n, p, q)
+        assert (by.n, bx.n) == (m, n) and (by.p, bx.p) == widths
+        assert np.array_equal(by.entries, make_basis("gram", m, widths[0]).entries)
+        assert np.array_equal(bx.entries, make_basis("gram", n, widths[1]).entries)
+
+    def test_basis_pair_shares_one_object_when_the_axes_match(self):
+        by, bx = _basis_pair("cosine", 10, 10)
+        assert by is bx
+        by, bx = _basis_pair("cosine", 10, 10, 5, 6)
+        assert by is not bx
+
+    def test_parse_list(self):
+        assert _parse_list("3, 1,,4 ,", int) == [3, 1, 4]
+        assert _parse_list("0.5,1e-3", float) == [0.5, 1e-3]
+        assert _parse_list(",", float) == []
+        with pytest.raises(ValueError):
+            _parse_list("1,x", int)
 
 
 class TestBench:

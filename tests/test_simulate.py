@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from surfrec import (
     radial_covariance_set, reconstruct,
 )
 from surfrec import simulate
-from surfrec.simulate import _KNOT_STRIDE, _ks_distance, trial_seed
+from surfrec.simulate import _KNOT_STRIDE, CellStats, _ks_distance, cell_gradient, trial_seed
 
 
 def concatenated_evaluate(z, z_true, g, dx, dy):
@@ -375,6 +376,16 @@ class TestBoundaryFrame:
         assert np.array_equal(frame[:, -1], z[:, -1])
         assert np.all(frame[1:-1, 1:-1] == 0)
 
+    @pytest.mark.parametrize("shape", [(1, 6), (5, 1), (2, 2), (1, 1), (4, 5)])
+    def test_thin_grids_match_an_edge_by_edge_copy(self, shape):
+        z = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        expected = np.zeros_like(z)
+        for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+            expected[edge] = z[edge]
+        surface = Surface(z.copy())
+        assert np.array_equal(boundary_frame(surface), expected)
+        assert np.array_equal(surface.heights, z)  # the input's interior is kept
+
 
 class TestLCurveTikhonov:
     @pytest.mark.parametrize("points", [4, 1, 0, -3, 20.0, 7.5])
@@ -463,6 +474,39 @@ class TestMonteCarlo:
         ]
         assert len(lines) == 2
         assert lines[1].startswith("gls,")
+
+    def test_csv_columns_are_the_cell_fields(self):
+        result = monte_carlo([("gls", Gls()), ("tik", Tikhonov(lam=0.5))],
+                             NoiseSpec("iid", 0.1, 0), levels=[0.05, 0.1], trials=2,
+                             base_seed=5, surface_spec=default_bump_spec(12, 12), order=2)
+        header, *rows = [line.split(",") for line in result.to_csv().splitlines()]
+        assert header == [f.name for f in dataclasses.fields(CellStats)]
+        for row, cell in zip(rows, result.cells, strict=True):
+            # the method name, then every number, reading back bit for bit
+            assert row[0] == cell.method
+            assert [float(v) for v in row[1:]] == list(dataclasses.astuple(cell)[1:])
+
+    def test_every_method_of_a_cell_sees_cell_gradient(self):
+        spec = default_bump_spec(16, 16)
+        z_true, g_true = bump_surface(spec)
+        dx, dy = g_true.operators(2)
+        result = monte_carlo([("gls", Gls()), ("tik", Tikhonov(lam=0.5))],
+                             NoiseSpec("outliers", 0.1, 0), levels=[0.02, 0.05], trials=2,
+                             base_seed=17, surface_spec=spec, order=2)
+        for rec in result.trials:
+            g = cell_gradient(g_true, "outliers", rec.level, 17,
+                              [0.02, 0.05].index(rec.level), rec.trial)
+            method = Gls() if rec.method == "gls" else Tikhonov(lam=0.5)
+            z = reconstruct(g, dx, dy, method)
+            assert rec.metrics == evaluate(z, z_true, g, dx, dy)
+
+    @pytest.mark.parametrize("kind", ["iid", "heteroscedastic_radial", "outliers"])
+    def test_cell_gradient_is_the_seeded_noise_model(self, kind):
+        _, g = bump_surface(default_bump_spec(12, 14))
+        got = cell_gradient(g, kind, 0.1, 3, 1, 4)
+        want = add_noise(g, NoiseSpec(kind, 0.1, trial_seed(3, 1, 4)))
+        assert np.array_equal(got.zx, want.zx) and np.array_equal(got.zy, want.zy)
+        assert not np.array_equal(got.zx, cell_gradient(g, kind, 0.1, 3, 4, 1).zx)
 
     def test_seed_derivation_is_stable(self):
         assert trial_seed(123, 0, 0) == trial_seed(123, 0, 0)
