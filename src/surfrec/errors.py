@@ -20,7 +20,7 @@ class SurfrecError(Exception):
 
 
 class DimensionError(SurfrecError, ValueError):
-    """Grid, operator, or parameter shapes do not compose."""
+    """Grid, operator, or parameter shapes or spacings do not compose."""
 
 
 class FormatError(SurfrecError, ValueError):

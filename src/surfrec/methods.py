@@ -171,8 +171,20 @@ class Weighted:
 MethodSpec = Gls | Spectral | Tikhonov | Dirichlet | Weighted
 
 
+def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
+    """Refuse operators whose node count or spacing differs from g's axis."""
+    if dx.n != g.n:
+        raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
+    if dy.n != g.m:
+        raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
+    if dx.h != g.hx or dy.h != g.hy:
+        raise DimensionError(f"operator spacings (x {dx.h:g}, y {dy.h:g}) differ from "
+                             f"the gradient's (hx {g.hx:g}, hy {g.hy:g})")
+
+
 def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> float:
     """Squared Frobenius distance between a surface's gradient and g."""
+    _check_operators(g, dx, dy)
     zxr = apply_dx(z, dx)
     zxr -= g.zx
     zyr = apply_dy(z, dy)
@@ -318,10 +330,7 @@ def _operator_part(dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec) -> _Operato
 
 def _build(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec):
     """(system, back-map) of the spec for gradient g."""
-    if dx.n != g.n:
-        raise DimensionError(f"x operator has {dx.n} nodes but gradient has {g.n} columns")
-    if dy.n != g.m:
-        raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
+    _check_operators(g, dx, dy)
     part = _operator_part(dx, dy, spec)
     return part.system(g, dx, dy), part.to_surface
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import regparam
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError, SizeGuardError, finite_real, whole_number
-from .methods import CovarianceSet, MethodSpec, gradient_misfit, reconstruct
+from .methods import CovarianceSet, MethodSpec, _check_operators, gradient_misfit, reconstruct
 from .regparam import LCurveTikhonov
 
 ORACLE_MAX_CELLS = 4096
@@ -222,8 +222,7 @@ def oracle_gls(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> Surface:
         raise SizeGuardError(
             f"oracle limited to {ORACLE_MAX_CELLS} cells, got {g.m}x{g.n}"
         )
-    if dx.n != g.n or dy.n != g.m:
-        raise DimensionError("operator sizes must match the gradient grid")
+    _check_operators(g, dx, dy)
     eye_m = np.eye(g.m)
     eye_n = np.eye(g.n)
     coeff = np.vstack([np.kron(dx.entries, eye_m), np.kron(eye_n, dy.entries)])

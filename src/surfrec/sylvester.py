@@ -14,7 +14,7 @@ whose basis :func:`solve` divides the equation elementwise.  It calls
 builder passes for equal blocks on both axes, as on a square grid with
 equal spacing) both sides share one eigendecomposition, and a block whose
 columns are each exactly even or odd about the grid's middle (cosine or
-Gram spectral) is diagonalized as one batch of its two parity groups.  When
+Gram spectral) takes one ``eigh`` per parity group instead.  When
 A and B each annihilate a known vector (u and v), the operator has the
 rank-one null space u v.T, the single zero eigenvalue pair in that basis.
 The factorization carries u and v: it pins that pair's coefficient at zero
@@ -237,38 +237,27 @@ def _parity_groups(blk: np.ndarray):
     return (np.flatnonzero(~odd), np.flatnonzero(odd)) if split else None
 
 
-def _eigh_pair(a: np.ndarray, b: np.ndarray):
-    """Ascending eigendecompositions (lp, up, lq, uq) of A.T A and B.T B,
-    with one ``eigh`` call each, or one for both when B is A.
+def _eigh(blk: np.ndarray):
+    """Ascending eigendecomposition (lam, vec) of blk.T blk.
 
-    When each column of a block is bitwise even or odd under the row
+    When each column of the block is bitwise even or odd under the row
     reversal J, the orthogonal J fixes one group and negates the other, so
     their cross Gram vanishes (Cantoni & Butler, Linear Algebra Appl. 13,
-    1976).  The groups' own Grams then go to one batched ``eigh``, the
-    smaller padded with decoupled diagonal entries above every eigenvalue,
-    whose eigenpairs come last and are dropped, and the rest are merged in
-    ascending order.  Any other block takes a plain ``eigh`` of its Gram.
+    1976).  Each group's own Gram then gets its own ``eigh``, and each
+    eigenvector goes straight to its column in ascending eigenvalue order.
+    Any other block takes a plain ``eigh`` of its Gram.
     """
-    pairs = []
-    for blk in (a,) if b is a else (a, b):
-        groups = _parity_groups(blk)
-        if groups is None:
-            pairs.append(np.linalg.eigh(blk.T @ blk))
-            continue
-        grams = [x.T @ x for x in (np.take(blk, g, axis=1) for g in groups)]
-        pad = 2.0 * max(map(np.trace, grams))  # a Gram's trace bounds its eigenvalues
-        batch = np.zeros((2, *max(gram.shape for gram in grams)))
-        for slot, gram in zip(batch, grams):
-            slot[:len(gram), :len(gram)] = gram
-            np.fill_diagonal(slot[len(gram):, len(gram):], pad)
-        lam, vec = np.linalg.eigh(batch)
-        lam = np.concatenate([lam[0, :len(groups[0])], lam[1, :len(groups[1])]])
-        rank = np.argsort(np.argsort(lam, kind="stable"))  # each eigenpair's sorted position
-        evecs = np.zeros((len(lam), len(lam)))
-        for g, cols, v in zip(groups, np.split(rank, [len(groups[0])]), vec):
-            evecs[np.ix_(g, cols)] = v[:len(g), :len(g)]  # straight to their sorted columns
-        pairs.append((np.sort(lam), evecs))
-    return (*pairs[0], *pairs[-1])
+    groups = _parity_groups(blk)
+    if groups is None:
+        return np.linalg.eigh(blk.T @ blk)
+    lams, vecs = zip(*(np.linalg.eigh(x.T @ x)
+                       for x in (np.take(blk, g, axis=1) for g in groups)))
+    lam = np.concatenate(lams)
+    rank = np.argsort(np.argsort(lam, kind="stable"))  # each eigenpair's sorted position
+    evecs = np.zeros((len(lam), len(lam)))
+    for g, cols, v in zip(groups, np.split(rank, [len(groups[0])]), vecs):
+        evecs[np.ix_(g, cols)] = v
+    return np.sort(lam), evecs
 
 
 def factor(system: SylvesterSystem) -> Factorization:
@@ -281,15 +270,17 @@ def factor(system: SylvesterSystem) -> Factorization:
     must be exactly span{u v.T}: the second-smallest pencil eigenvalue,
     min(lambda_1 + mu_0, lambda_0 + mu_1), must exceed that tolerance.
 
-    ``eigh`` runs once per coefficient block.  When B is A itself (the one
-    block ``assemble`` passes for equal blocks on both axes of a square
-    grid) B.T B is not formed and both sides get the same eigenpairs; equal
-    but distinct blocks are factored twice.  A block whose columns are each
-    bitwise even or odd under row reversal (cosine or Gram spectral, or any
-    column subset of one) is split by parity (see ``_eigh_pair``), which
-    moves its eigenpairs by rounding only; any other takes a plain ``eigh``.
+    ``eigh`` runs once per coefficient block, or once per parity group.
+    When B is A itself (the one block ``assemble`` passes for equal blocks
+    on both axes of a square grid) B.T B is not formed and both sides get
+    the same eigenpairs; equal but distinct blocks are factored twice.  A
+    block whose columns are each bitwise even or odd under row reversal
+    (cosine or Gram spectral, or any column subset of one) is split by
+    parity (see ``_eigh``), which moves its eigenpairs by rounding only;
+    any other takes a plain ``eigh``.
     """
-    lp, up, lq, uq = _eigh_pair(system.a, system.b)
+    lp, up = _eigh(system.a)
+    lq, uq = (lp, up) if system.b is system.a else _eigh(system.b)
     fac = Factorization(lp=lp, up=up, lq=lq, uq=uq, u=system.u, v=system.v)
     scale = np.max(np.abs(lp), initial=0.0) + np.max(np.abs(lq), initial=0.0)
     if system.u is None:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from surfrec import (
-    CovarianceSet, DiffMatrix, DimensionError, Dirichlet, Gls, GradientField, SingularSystemError,
-    Spectral, SylvesterSystem, Tikhonov, Weighted, apply_dx, apply_dy, assemble,
-    cosine_basis, gradient_misfit, gram_basis, make_basis, reconstruct, solve, sym_sqrt,
+    CovarianceSet, DiffMatrix, DimensionError, Dirichlet, Gls, GradientField, LCurveTikhonov,
+    SingularSystemError, Spectral, Surface, SylvesterSystem, Tikhonov, Weighted, apply_dx,
+    apply_dy, assemble, build_cache, cosine_basis, diff_matrix, evaluate, gradient_misfit,
+    gram_basis, lcurve_reconstruct, make_basis, oracle_gls, reconstruct, solve, sym_sqrt,
 )
 from surfrec import methods
 from surfrec.simulate import ORACLE_MAX_CELLS
@@ -55,6 +56,7 @@ def kron_tikhonov_minnorm(g, dx, dy, spec):
         |Z Dx.T - Zx|^2 + |Dy Z - Zy|^2
         + lam^2 |(Z - Z0) Lx.T|^2 + mu^2 |Ly (Z - Z0)|^2,
 
+    with Z0 the spec's reference (zero when it has none) and L = D^degree,
     eliminated as one dense Kronecker-structured matrix built from the
     operators' entries, with vec stacking columns.
     """
@@ -66,8 +68,8 @@ def kron_tikhonov_minnorm(g, dx, dy, spec):
     pen = np.vstack([spec.lam * np.kron(lx, np.eye(m)),
                      spec.mu_value * np.kron(np.eye(n), ly)])
     coeff = np.vstack([np.kron(dx.entries, np.eye(m)), np.kron(np.eye(n), dy.entries), pen])
-    rhs = np.concatenate([g.zx.ravel(order="F"), g.zy.ravel(order="F"),
-                          pen @ spec.reference.ravel(order="F")])
+    z0 = np.zeros(m * n) if spec.reference is None else spec.reference.ravel(order="F")
+    rhs = np.concatenate([g.zx.ravel(order="F"), g.zy.ravel(order="F"), pen @ z0])
     sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
     return sol.reshape((m, n), order="F")
 
@@ -385,6 +387,46 @@ class TestGradientMisfit:
         before = (z.copy(), g.zx.copy(), g.zy.copy())
         gradient_misfit(z, g, dx, dy)
         assert all(np.array_equal(a, b) for a, b in zip((z, g.zx, g.zy), before))
+
+
+class TestOperatorsMatchTheGradient:
+    """Every entry point that takes a gradient and its operators refuses
+    operators of another node count or spacing: an operator at spacing 2
+    on a gradient labelled 1 would return a surface scaled for the one and
+    labelled with the other."""
+
+    ENTRY_POINTS = {
+        "assemble": lambda g, dx, dy, z: assemble(g, dx, dy, Gls()),
+        "reconstruct": lambda g, dx, dy, z: reconstruct(g, dx, dy, Gls()),
+        "build_cache": lambda g, dx, dy, z: build_cache(g, dx, dy),
+        "lcurve_reconstruct": lambda g, dx, dy, z: lcurve_reconstruct(g, dx, dy, LCurveTikhonov()),
+        "oracle_gls": lambda g, dx, dy, z: oracle_gls(g, dx, dy),
+        "gradient_misfit": lambda g, dx, dy, z: gradient_misfit(z, g, dx, dy),
+        "evaluate": lambda g, dx, dy, z: evaluate(z, z, g, dx, dy),
+    }
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(28)
+        g = GradientField(rng.standard_normal((8, 9)), rng.standard_normal((8, 9)), 1.0, 1.0)
+        return g, Surface(rng.standard_normal((8, 9)))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("hx,hy", [(2.0, 2.0), (2.0, 1.0), (1.0, 1.0 + 2.0**-52)],
+                             ids=["both", "x", "y-one-ulp"])
+    def test_other_spacing_refused(self, entry, hx, hy):
+        g, z = self.problem()
+        with pytest.raises(DimensionError, match="spacings"):
+            self.ENTRY_POINTS[entry](g, diff_matrix(9, hx), diff_matrix(8, hy), z)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_other_node_count_refused(self, entry):
+        g, z = self.problem()
+        dx, dy = g.operators(2)
+        with pytest.raises(DimensionError, match="x operator has 8 nodes"):
+            self.ENTRY_POINTS[entry](g, dy, dy, z)
+        with pytest.raises(DimensionError, match="y operator has 9 nodes"):
+            self.ENTRY_POINTS[entry](g, dx, dx, z)
 
 
 class TestReconstruct:

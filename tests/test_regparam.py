@@ -11,6 +11,7 @@ from surfrec import (
 from surfrec.cli import main
 from surfrec.simulate import NoiseSpec, add_noise, run_method, trial_seed
 from surfrec.sylvester import SylvesterSystem, factor, solve
+from test_methods import kron_tikhonov_minnorm
 
 
 def noisy_problem(m=16, n=20, seed=41, level=0.2, order=2):
@@ -66,21 +67,6 @@ def assert_points_close(got, want, rtol=1e-13):
         assert lam == lam_w
         assert abs(rho - rho_w) <= rtol * rho_w
         assert abs(eta - eta_w) <= rtol * eta_w
-
-
-def kron_tikhonov_minnorm(g, dx, dy, lam):
-    """Oracle: minimum-norm least squares of the stacked degree-0 Tikhonov
-    system, eliminated as one dense Kronecker-structured matrix."""
-    m, n = g.m, g.n
-    coeff = np.vstack([
-        np.kron(np.eye(n), dy.entries),
-        np.kron(dx.entries, np.eye(m)),
-        lam * np.eye(m * n),
-        lam * np.eye(m * n),
-    ])
-    rhs = np.concatenate([g.zy.ravel(order="F"), g.zx.ravel(order="F"), np.zeros(2 * m * n)])
-    sol, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
-    return sol.reshape((m, n), order="F")
 
 
 class TestBuildCache:
@@ -381,7 +367,7 @@ class TestPathEquivalence:
                 # D 1 = 0, so the exact solution is mean free at every lam;
                 # the oracle's mean is its rounding divided by 2 lam^2 and
                 # is left out of the comparison
-                want = kron_tikhonov_minnorm(g, dx, dy, lam)
+                want = kron_tikhonov_minnorm(g, dx, dy, Tikhonov(lam=lam))
                 want -= want.mean()
                 scale = np.linalg.norm(want)
                 assert abs(got.mean()) <= 1e-13 * scale

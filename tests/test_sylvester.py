@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,9 @@ from surfrec import (
     cosine_basis, diff_matrix, gram_basis, haar_basis, radial_covariance_set, solve, sym_sqrt,
     work_estimate,
 )
+from surfrec import sylvester
 from surfrec.simulate import run_method
-from surfrec.sylvester import _eigh_pair, _parity_groups, factor
+from surfrec.sylvester import _eigh, _parity_groups, factor
 
 
 def kron_sylvester_solve(p, q, c):
@@ -331,14 +336,25 @@ def eigh_shapes(monkeypatch, fn, *args):
     return calls
 
 
+def factor_calls(monkeypatch):
+    """List that gains the system of every sylvester.factor call from now
+    on, wherever a module bound the name."""
+    calls = []
+
+    def recording(system):
+        calls.append(system)
+        return factor(system)
+
+    for mod in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "surfrec"]:
+        if vars(mod).get("factor") is factor:
+            monkeypatch.setattr(mod, "factor", recording)
+    return calls
+
+
 class TestOneFactorization:
     """Every solve route factors its system exactly once: one eigh call per
     distinct coefficient, two on an anisotropic grid and one on a square grid
-    with equal spacing."""
-
-    @staticmethod
-    def count_eigh(monkeypatch, fn, *args):
-        return len(eigh_shapes(monkeypatch, fn, *args))
+    with equal spacing, or one per parity group of a split block."""
 
     @pytest.mark.parametrize("name", [
         "gls", "spectral", "spectral-band", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet",
@@ -361,11 +377,21 @@ class TestOneFactorization:
             "weighted-radial": Weighted(radial_covariance_set(g)),
             "lcurve": LCurveTikhonov(),
         }
+        # a cosine block's parity groups, its odd functions first: labels
+        # 0-5 and 0-7 split 3 + 3 and 4 + 4, and without label 0 the even
+        # functions are one fewer
+        per_group = {"spectral": [(3, 3), (3, 3), (4, 4), (4, 4)],
+                     "spectral-band": [(3, 3), (2, 2), (4, 4), (3, 3)]}
+        factored = factor_calls(monkeypatch)
         if name == "build_cache":
-            calls = self.count_eigh(monkeypatch, build_cache, g, dx, dy)
+            shapes = eigh_shapes(monkeypatch, build_cache, g, dx, dy)
         else:
-            calls = self.count_eigh(monkeypatch, run_method, g, dx, dy, specs[name])
-        assert calls == 2
+            shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, specs[name])
+        assert len(factored) == 1
+        if name in per_group:
+            assert shapes == per_group[name]
+        else:
+            assert len(shapes) == 2
 
     def test_shared_operator_block_factors_like_two_equal_ones(self):
         g, dx, dy, spec = spectral_system(16, 16, 8, 8, 2, hx=0.7, hy=0.7)
@@ -381,7 +407,7 @@ class TestOneFactorization:
     def test_radial_covariances_need_no_eigh(self, monkeypatch):
         rng = np.random.default_rng(51)
         g = GradientField(rng.standard_normal((12, 16)), rng.standard_normal((12, 16)))
-        assert self.count_eigh(monkeypatch, radial_covariance_set, g) == 0
+        assert eigh_shapes(monkeypatch, radial_covariance_set, g) == []
 
     @pytest.mark.parametrize("name", [
         "gls", "tikhonov-0", "tikhonov-1", "tikhonov-2", "dirichlet", "build_cache", "lcurve",
@@ -407,6 +433,36 @@ class TestOneFactorization:
             shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, specs[name])
         k = 14 if name == "dirichlet" else 16
         assert shapes == [(k, k)]
+
+
+def eigh_sites(tree):
+    """Name of the innermost enclosing function (None at module level) of
+    every ``eigh`` name, attribute or import in a module's syntax tree."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name == "eigh":
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return sites
+
+
+def test_eigh_is_called_only_by_the_block_helper_and_sym_sqrt():
+    # factor is the only place the solver calls eigh (README), read off the
+    # source of every module; sym_sqrt roots the WLS covariances
+    found = set()
+    for path in sorted(Path(sylvester.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=path.name)
+        found.update((path.stem, where) for where in eigh_sites(tree))
+    assert found == {("sylvester", "_eigh"), ("sylvester", "sym_sqrt")}
 
 
 def general_solve(system, refine=0):
@@ -438,16 +494,18 @@ def spectral_system(m, n, p, q, order, family=cosine_basis, seed=55, hx=0.7, hy=
 class TestParitySplit:
     """A block whose columns are each bitwise even or odd under row reversal
     (a cosine or Gram spectral block, or any column subset of one) is
-    diagonalized as one batched eigh of its two parity groups; every other
+    diagonalized by one eigh per parity group, its even columns first (the
+    odd functions of a basis, which D maps to even columns); every other
     block takes a plain eigh."""
 
-    def test_cosine_sides_each_pass_one_stack(self, monkeypatch):
+    def test_cosine_sides_each_split_in_two(self, monkeypatch):
         g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
-        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 3, 3), (2, 4, 4)]
+        shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, spec)
+        assert shapes == [(3, 3), (3, 3), (4, 4), (4, 4)]
 
-    def test_square_cosine_passes_one_stack(self, monkeypatch):
+    def test_square_cosine_splits_once(self, monkeypatch):
         g, dx, dy, spec = spectral_system(16, 16, 8, 8, 4, hx=0.7, hy=0.7)
-        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 4, 4)]
+        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(4, 4), (4, 4)]
 
     @pytest.mark.parametrize("family,m,n,p,q", [
         (cosine_basis, 12, 16, 5, 7),
@@ -456,12 +514,11 @@ class TestParitySplit:
         (gram_basis, 101, 90, 51, 45),
     ], ids=["odd-size", "gram-128x96", "gram-256x128", "gram-odd-size"])
     @pytest.mark.parametrize("order", [2, 4])
-    def test_other_parity_bases_pass_one_stack(self, monkeypatch, family, m, n, p, q, order):
-        # an odd order k splits into blocks of ceil(k/2) and floor(k/2); the
-        # smaller one is padded to the larger, so each side is one batch
+    def test_other_parity_bases_split(self, monkeypatch, family, m, n, p, q, order):
+        # k functions split into floor(k/2) odd and ceil(k/2) even ones
         g, dx, dy, spec = spectral_system(m, n, p, q, order, family)
         shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, spec)
-        assert shapes == [(2, (p + 1) // 2, (p + 1) // 2), (2, (q + 1) // 2, (q + 1) // 2)]
+        assert shapes == [(k, k) for k in (p // 2, (p + 1) // 2, q // 2, (q + 1) // 2)]
 
     @pytest.mark.parametrize("family,m,n,p,q", [
         (haar_basis, 16, 32, 8, 16),
@@ -490,8 +547,8 @@ class TestParitySplit:
         self.check_diagonalizes(40, 36, 20, 18, order)
 
     @pytest.mark.parametrize("order", [2, 4])
-    def test_odd_split_drops_the_padding(self, order):
-        # the padded pair is the batch's largest, and only its row goes
+    def test_odd_split_diagonalizes(self, order):
+        # groups of unequal size: 10 + 11 functions on one side, 9 + 10 on the other
         self.check_diagonalizes(42, 38, 21, 19, order)
 
     @pytest.mark.parametrize("k", [2, 3, 7])
@@ -503,9 +560,9 @@ class TestParitySplit:
         top[-1, 1::2] = 0.0
         blk = np.vstack([top, (top * (-1.0) ** np.arange(k))[-2::-1]])
         mat = blk.T @ blk
-        shapes = eigh_shapes(monkeypatch, _eigh_pair, blk, blk)
-        assert shapes == [(2, (k + 1) // 2, (k + 1) // 2)]
-        lam, vec = _eigh_pair(blk, blk)[:2]
+        shapes = eigh_shapes(monkeypatch, _eigh, blk)
+        assert shapes == [((k + 1) // 2, (k + 1) // 2), (k // 2, k // 2)]
+        lam, vec = _eigh(blk)
         assert np.max(np.abs(lam - np.linalg.eigvalsh(mat))) <= 1e-13 * np.max(np.abs(mat))
         assert np.max(np.abs((vec * lam) @ vec.T - mat)) <= 1e-13 * np.max(np.abs(mat))
 
@@ -514,7 +571,8 @@ class TestParitySplit:
         # labels 1, 3, 4, 5 (and on to 7) split 3 + 1 (and 4 + 2)
         g, dx, dy, spec = spectral_system(12, 16, 6, 8, 2)
         spec = Spectral(spec.basis_y.drop([0, 2]), spec.basis_x.drop([0, 2]))
-        assert eigh_shapes(monkeypatch, run_method, g, dx, dy, spec) == [(2, 3, 3), (2, 4, 4)]
+        shapes = eigh_shapes(monkeypatch, run_method, g, dx, dy, spec)
+        assert shapes == [(3, 3), (1, 1), (4, 4), (2, 2)]
         system = assemble(g, dx, dy, spec)
         want = self.heights(spec, general_solve(system))
         got = self.heights(spec, solve(system))
@@ -525,9 +583,9 @@ class TestParitySplit:
         # 39 rows: row 19 is the middle one, zero in every odd column
         _, _, dy, spec = spectral_system(39, 16, 12, 8, 4)
         blk = dy.left_product(spec.basis_y.entries)
-        assert eigh_shapes(monkeypatch, _eigh_pair, blk, blk) == [(2, 6, 6)]
+        assert eigh_shapes(monkeypatch, _eigh, blk) == [(6, 6), (6, 6)]
         blk[row, 4] = np.nextafter(blk[row, 4], np.inf)
-        assert eigh_shapes(monkeypatch, _eigh_pair, blk, blk) == [(12, 12)]
+        assert eigh_shapes(monkeypatch, _eigh, blk) == [(12, 12)]
 
     def test_dense_covariance_takes_the_general_path(self, monkeypatch):
         rng = np.random.default_rng(58)
