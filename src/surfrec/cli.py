@@ -6,11 +6,12 @@ dirichlet, wls), an L-curve sweep (lcurve), the Monte-Carlo driver
 binary or CSV files (see gridio); surfaces and CSV tables are written
 atomically.  Every failure class exits nonzero with a one-line diagnostic.
 
-A subcommand imports only the modules it runs: ``regparam``, ``simulate``
-and the CSV writer are loaded inside the subcommands that call them, so a
-reconstruction process never pays for them.  ``run_and_exit`` is the
-process entry point (``python -m surfrec.cli`` and the installed
-``surfrec`` command); ``main`` returns the exit code for in-process callers.
+A subcommand imports only the modules it runs: ``regparam`` and
+``simulate`` are loaded inside the subcommands that call them, and ``csv``
+by the first CSV write, so a reconstruction process never pays for them.
+``run_and_exit`` is the process entry point (``python -m surfrec.cli`` and
+the installed ``surfrec`` command); ``main`` returns the exit code for
+in-process callers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .basis import BasisSet, make_basis
 from .diffops import GradientField, Surface
 from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError, whole_number
-from .gridio import atomic_write, read_grid, write_grid
+from .gridio import _csv_text, atomic_write, read_grid, write_grid
 from .methods import (
     CovarianceSet, Dirichlet, Gls, Spectral, Tikhonov, Weighted,
     gradient_misfit, reconstruct,
@@ -35,25 +36,30 @@ from .methods import (
 _NOISE_FLAGS = {"iid": "iid", "radial": "heteroscedastic_radial", "outliers": "outliers"}
 
 
-def _load_gradient(args) -> GradientField:
-    gx = read_grid(args.zx)
-    gy = read_grid(args.zy)
+def _load_gradient(args, others=()) -> GradientField:
+    """The gradient in ``args.zx`` and ``args.zy``, at the spacings of the binary
+    grids among them and the (path, GridData) pairs ``others``, which must all
+    agree; ``--hx/--hy`` apply only when none of these grids is binary."""
+    gx, gy = read_grid(args.zx), read_grid(args.zy)
     if gx.values.shape != gy.values.shape:
         raise DimensionError(
             f"gradient grids disagree: {gx.values.shape} vs {gy.values.shape}"
         )
-    hx = gx.hx if gx.hx is not None else args.hx
-    hy = gx.hy if gx.hy is not None else args.hy
-    if gy.hx is not None and (gy.hx != hx or gy.hy != hy):
-        raise DimensionError("gradient grids carry different node spacings")
+    binary = [(path, (d.hx, d.hy)) for path, d in ((args.zx, gx), (args.zy, gy), *others)
+              if d.hx is not None]
+    for path, spacings in binary[1:]:
+        if spacings != binary[0][1]:
+            raise DimensionError(f"node spacings (hx, hy) differ: {binary[0][1]!r} in "
+                                 f"{binary[0][0]}, {spacings!r} in {path}")
+    hx, hy = binary[0][1] if binary else (args.hx, args.hy)
     return GradientField(gx.values, gy.values, hx, hy)
 
 
-def _reconstruct_and_report(args, spec_of, solve=reconstruct) -> int:
-    """Read the gradient, solve it with the spec ``spec_of(gradient)``, write
-    the surface and print its ``cost`` line.  The spec is made after the
-    operators, so a grid too small for the order is refused first."""
-    g = _load_gradient(args)
+def _reconstruct_and_report(args, spec_of, solve=reconstruct, others=()) -> int:
+    """Read the gradient as :func:`_load_gradient` does, solve it with the spec
+    ``spec_of(gradient)``, write the surface and print its ``cost`` line.  The spec
+    is made after the operators, so a grid too small for the order is refused first."""
+    g = _load_gradient(args, others)
     dx, dy = g.operators(args.order)
     z = solve(g, dx, dy, spec_of(g))
     write_grid(args.out, z.heights, z.hx, z.hy)
@@ -118,8 +124,9 @@ def _cmd_tikhonov(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    boundary = read_grid(args.boundary).values
-    return _reconstruct_and_report(args, lambda g: Dirichlet(boundary=boundary))
+    boundary = read_grid(args.boundary)
+    return _reconstruct_and_report(args, lambda g: Dirichlet(boundary=boundary.values),
+                                   others=[(args.boundary, boundary)])
 
 
 def _cmd_wls(args) -> int:
@@ -132,17 +139,6 @@ def _cmd_wls(args) -> int:
     return _reconstruct_and_report(args, lambda g: Weighted(covariance=cov))
 
 
-def _write_csv_atomic(path, header, rows) -> None:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue().encode())
-
-
 def _cmd_lcurve(args) -> int:
     from . import regparam
 
@@ -152,8 +148,7 @@ def _cmd_lcurve(args) -> int:
     cache = regparam.build_cache(g, dx, dy)
     grid = regparam.default_lambda_grid(cache, args.points)
     points = regparam.l_curve(cache, grid)
-    _write_csv_atomic(args.out, ["lambda", "rho", "eta"],
-                      [[repr(l), repr(r), repr(e)] for l, r, e in points])
+    atomic_write(args.out, _csv_text([("lambda", "rho", "eta"), *points]).encode())
     return 0
 
 
@@ -163,8 +158,6 @@ def _cmd_simulate(args) -> int:
     spec = simulate.default_bump_spec(args.rows, args.cols)
     z_true, g_true = simulate.bump_surface(spec)
     levels = _parse_list(args.levels, float)
-    if not levels:
-        raise ValueError("--levels needs at least one noise level")
     methods = [
         ("gls", Gls()),
         ("spectral_half", Spectral(*_basis_pair(args.basis, g_true.m, g_true.n))),
@@ -172,15 +165,13 @@ def _cmd_simulate(args) -> int:
         ("dirichlet_true", Dirichlet(boundary=simulate.boundary_frame(z_true))),
         ("weighted_radial", Weighted(covariance=simulate.radial_covariance_set(g_true))),
     ]
-    noise = simulate.NoiseSpec(_NOISE_FLAGS[args.noise], max(levels), args.seed)
-    result = simulate.monte_carlo(
-        methods, noise, levels, args.trials, args.seed,
-        surface_spec=spec, order=args.order,
-    )
+    kind = _NOISE_FLAGS[args.noise]
+    result = simulate.monte_carlo(methods, kind, levels, args.trials, args.seed,
+                                  surface_spec=spec, order=args.order)
     if args.dump:
         # written after monte_carlo, which refuses a bad trial count or order,
         # and before the metrics, so a bad prefix leaves no metrics file
-        g0 = simulate.cell_gradient(g_true, _NOISE_FLAGS[args.noise], levels[0], args.seed, 0, 0)
+        g0 = simulate.cell_gradient(g_true, kind, levels[0], args.seed, 0, 0)
         write_grid(f"{args.dump}_zx.g2s", g0.zx, g0.hx, g0.hy)
         write_grid(f"{args.dump}_zy.g2s", g0.zy, g0.hx, g0.hy)
         write_grid(f"{args.dump}_ztrue.g2s", z_true.heights, z_true.hx, z_true.hy)
@@ -247,9 +238,8 @@ def run_bench(sizes, repeats: int = 10, seed: int = 0, order: int = 2) -> list[d
 def _cmd_bench(args) -> int:
     sizes = _parse_list(args.sizes, int)
     rows = run_bench(sizes, repeats=args.repeats, seed=args.seed, order=args.order)
-    # the columns are run_bench's row keys, the method name first
-    _write_csv_atomic(args.out, list(rows[0]),
-                      [[r["method"], *map(repr, list(r.values())[1:])] for r in rows])
+    # the columns are run_bench's row keys
+    atomic_write(args.out, _csv_text([list(rows[0]), *(r.values() for r in rows)]).encode())
     return 0
 
 
@@ -260,9 +250,9 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, choices=(2, 4), default=2,
                    help="derivative accuracy order (default 2)")
     p.add_argument("--hx", type=float, default=1.0,
-                   help="x node spacing for CSV inputs (binary files carry their own)")
+                   help="x node spacing when no input grid is binary (binary grids carry theirs)")
     p.add_argument("--hy", type=float, default=1.0,
-                   help="y node spacing for CSV inputs")
+                   help="y node spacing when no input grid is binary")
 
 
 def build_parser() -> argparse.ArgumentParser:

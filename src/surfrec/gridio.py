@@ -2,13 +2,15 @@
 
 Binary layout ("G2S1"): 4-byte magic, little-endian u32 row and column
 counts, two little-endian f64 node spacings, then rows*cols f64 values in
-row-major order.  CSV files carry plain numeric rows only; node spacings for
-CSV inputs come from command-line flags.  All writes go through a temporary
-file and an atomic rename, so a failed run never leaves a partial file.
+row-major order.  CSV files carry plain numeric rows and no spacings; every
+CSV the package writes, grid or table, is the text of :func:`_csv_text`.  All
+writes go through a temporary file and an atomic rename, so a failed run
+never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import tempfile
@@ -56,8 +58,7 @@ def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
         raise FormatError(f"grids must be 2-d, got shape {values.shape}")
     _check_values(path, values)
     if _is_csv(path):
-        lines = "\n".join(",".join(repr(float(v)) for v in row) for row in values)
-        atomic_write(path, (lines + "\n").encode())
+        atomic_write(path, _csv_text(values.tolist()).encode())
     else:
         m, n = values.shape
         hx, hy = float(hx), float(hy)
@@ -81,6 +82,16 @@ def _check_values(path, values: np.ndarray) -> None:
         raise FormatError(f"{path}: grid of shape {values.shape} holds no values")
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: grid contains non-finite values")
+
+
+def _csv_text(rows) -> str:
+    """CSV text of rows of strings and Python ints and floats, whose ``str``,
+    the form csv writes, is their ``repr``: every number reads back bit for bit."""
+    import csv  # loaded on the first CSV write, not by every CLI process
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def atomic_write(path, payload: bytes) -> None:

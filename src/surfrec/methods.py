@@ -178,8 +178,8 @@ def _check_operators(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> None:
     if dy.n != g.m:
         raise DimensionError(f"y operator has {dy.n} nodes but gradient has {g.m} rows")
     if dx.h != g.hx or dy.h != g.hy:
-        raise DimensionError(f"operator spacings (x {dx.h:g}, y {dy.h:g}) differ from "
-                             f"the gradient's (hx {g.hx:g}, hy {g.hy:g})")
+        raise DimensionError(f"operator spacings (x {dx.h!r}, y {dy.h!r}) differ from "
+                             f"the gradient's (hx {g.hx!r}, hy {g.hy!r})")
 
 
 def gradient_misfit(z, g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> float:

@@ -20,8 +20,6 @@ integers, so every table is reproducible bit for bit from its base seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import statistics
 from collections import Counter
@@ -32,6 +30,7 @@ import numpy as np
 from . import regparam
 from .diffops import DiffMatrix, GradientField, Surface, apply_dx, apply_dy
 from .errors import DimensionError, SizeGuardError, finite_real, whole_number
+from .gridio import _csv_text
 from .methods import CovarianceSet, MethodSpec, _check_operators, gradient_misfit, reconstruct
 from .regparam import LCurveTikhonov
 
@@ -46,12 +45,12 @@ class GaussianBump:
 
     def __post_init__(self):
         mat = np.asarray(self.shape, dtype=float)
+        if not np.all(np.isfinite(mat)) or not np.isfinite(self.amplitude):
+            raise ValueError("bump parameters must be finite")
         if mat.shape != (2, 2) or abs(mat[0, 1] - mat[1, 0]) > 1e-12 * max(1.0, np.max(np.abs(mat))):
             raise ValueError("bump shape must be a symmetric 2x2 matrix")
         if mat[0, 0] <= 0 or np.linalg.det(mat) <= 0:
             raise ValueError("bump shape matrix must be positive definite")
-        if not np.all(np.isfinite(mat)) or not np.isfinite(self.amplitude):
-            raise ValueError("bump parameters must be finite")
         object.__setattr__(self, "shape", mat)
 
 
@@ -351,11 +350,7 @@ class MonteCarloResult:
 
     def to_csv(self) -> str:
         """One row per cell under the ``CellStats`` field names; numbers by repr."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(f.name for f in fields(CellStats))
-        writer.writerows([cell.method, *map(repr, astuple(cell)[1:])] for cell in self.cells)
-        return buf.getvalue()
+        return _csv_text([[f.name for f in fields(CellStats)], *map(astuple, self.cells)])
 
 
 def trial_seed(base_seed: int, level_index: int, trial_index: int) -> int:
@@ -373,36 +368,39 @@ def cell_gradient(g_true: GradientField, kind: str, level: float, base_seed: int
     return add_noise(g_true, NoiseSpec(kind, level, seed))
 
 
-def monte_carlo(methods, noise: NoiseSpec, levels, trials: int, base_seed: int,
+def monte_carlo(methods, kind: str, levels, trials: int, base_seed: int,
                 surface_spec: BumpSurfaceSpec | None = None,
                 order: int = 4) -> MonteCarloResult:
     """Run the full (method, level, trial) grid and aggregate metrics.
 
-    ``methods`` is a sequence of (label, spec) pairs; ``noise`` supplies the
-    model kind (its level and seed are overridden per cell).  All methods in
-    a cell see the same noisy data, :func:`cell_gradient`, drawn from a seed
-    derived from (base_seed, level index, trial index), so runs are
-    reproducible and methods directly comparable.  The default fourth-order
-    operators keep the discretization error of the non-polynomial test
-    surface well below the injected noise.  A repeated level or label is refused: its cells would
-    pool each other's trials.
+    ``methods`` is a sequence of (label, spec) pairs, and ``kind`` names the
+    noise model (a :class:`NoiseSpec` kind) applied at each of ``levels``.
+    All methods in a cell see the same noisy data, :func:`cell_gradient`,
+    drawn from a seed derived from (base_seed, level index, trial index), so
+    runs are reproducible and methods directly comparable.  The default
+    fourth-order operators keep the discretization error of the
+    non-polynomial test surface well below the injected noise.  An unknown
+    kind, a level it refuses, no level or method, or a repeated level or
+    label (its cells would pool each other's trials) raises ``ValueError``
+    before any trial runs.
     """
     trials = whole_number("trials", trials, 1)
     whole_number("base seed", base_seed, 0)
-    # every level meets the noise model's rules before any trial runs
-    levels = [float(NoiseSpec(noise.kind, v).level) for v in levels]
-    for name, values in (("noise levels", levels),
-                         ("method labels", [label for label, _ in methods])):
+    levels = [float(NoiseSpec(kind, v).level) for v in levels]
+    for name, values in (("noise level", levels),
+                         ("method label", [label for label, _ in methods])):
+        if not values:
+            raise ValueError(f"monte_carlo needs at least one {name}")
         repeated = sorted(v for v, k in Counter(values).items() if k > 1)
         if repeated:
-            raise ValueError(f"{name} repeated: {repeated}")
+            raise ValueError(f"{name}s repeated: {repeated}")
     spec = surface_spec if surface_spec is not None else default_bump_spec()
     z_true, g_true = bump_surface(spec)
     dx, dy = g_true.operators(order)
     records: list[TrialRecord] = []
     for li, level in enumerate(levels):
         for ti in range(trials):
-            g_noisy = cell_gradient(g_true, noise.kind, level, base_seed, li, ti)
+            g_noisy = cell_gradient(g_true, kind, level, base_seed, li, ti)
             for label, method in methods:
                 z = run_method(g_noisy, dx, dy, method)
                 records.append(TrialRecord(

@@ -135,7 +135,7 @@ def test_criterion_05_cost_lower_bound():
     spec = default_bump_spec(64, 64)
     z_true, g_true = bump_surface(spec)
     methods = _standard_roster(z_true, g_true)
-    result = monte_carlo(methods, NoiseSpec("iid", 0.1, 0), levels=[0.1], trials=50,
+    result = monte_carlo(methods, "iid", levels=[0.1], trials=50,
                          base_seed=20240, surface_spec=spec, order=4)
     per_trial = {}
     for rec in result.trials:
@@ -170,7 +170,7 @@ def test_criterion_07_outlier_robustness_ordering():
     spec = default_bump_spec(64, 64)
     z_true, g_true = bump_surface(spec)
     methods = _standard_roster(z_true, g_true)
-    result = monte_carlo(methods, NoiseSpec("outliers", 0.1, 0), levels=[0.1],
+    result = monte_carlo(methods, "outliers", levels=[0.1],
                          trials=25, base_seed=20247, surface_spec=spec, order=4)
     means = {c.method: c.rel_error_mean for c in result.cells}
     best = min(means, key=means.get)

@@ -268,6 +268,8 @@ def test_constructor_refuses_repeated_labels():
     with pytest.raises(ValueError, match=r"labels repeated: \[1, 4\]"):
         BasisSet(np.hstack([entries, entries[:, :1]]), "cosine", columns=(4, 1, 1, 4))
     assert BasisSet(entries, "cosine", columns=(0, 2, 5)).columns == (0, 2, 5)
+    with pytest.raises(ValueError, match="does not match entry matrix width"):
+        BasisSet(entries, "cosine", columns=(0, 2))
 
 
 def test_make_basis_dispatch():

@@ -9,8 +9,8 @@ import pytest
 
 import surfrec.cli
 from surfrec import (
-    GradientField, Spectral, apply_dx, apply_dy, diff_matrix, make_basis, read_grid,
-    reconstruct, write_grid,
+    Dirichlet, Gls, GradientField, Spectral, apply_dx, apply_dy, diff_matrix, make_basis,
+    read_grid, reconstruct, write_grid,
 )
 from surfrec import simulate
 from surfrec.cli import _BENCH_METHODS, _basis_pair, _parse_list, main, run_bench
@@ -126,6 +126,64 @@ class TestReconstructionCommands:
                              - (want - want.mean()))) <= 1e-9
 
 
+class TestSpacingRule:
+    """Spacings come from the binary grids a command reads, gradient or
+    boundary, in any argument order; they must agree, and --hx/--hy apply
+    only when none of them is binary."""
+
+    @staticmethod
+    def grids(tmp_path):
+        """zx, zy and a boundary as binary files at spacing 0.5 and as CSV
+        copies, plus the boundary at spacing 2 and zy at (0.5, 0.25)."""
+        rng = np.random.default_rng(93)
+        values = {name: rng.standard_normal((12, 12)) for name in ("zx", "zy", "b")}
+        for name, v in values.items():
+            write_grid(tmp_path / f"{name}.g2s", v, 0.5, 0.5)
+            write_grid(tmp_path / f"{name}.csv", v)
+        write_grid(tmp_path / "b-2.g2s", values["b"], 2.0, 2.0)
+        write_grid(tmp_path / "zy-quarter.g2s", values["zy"], 0.5, 0.25)
+        return values
+
+    @staticmethod
+    def argv(tmp_path, files, flags):
+        command = "dirichlet" if "--boundary" in files else "gls"
+        paths = [f if f.startswith("--") else str(tmp_path / f) for f in files]
+        return [command, *paths, *flags, "--out", str(tmp_path / "z.g2s")]
+
+    @pytest.mark.parametrize("files,flags,h", [
+        (["zx.g2s", "zy.g2s"], [], 0.5),
+        (["zx.g2s", "zy.csv"], ["--hx", "3", "--hy", "3"], 0.5),
+        (["zx.csv", "zy.g2s"], ["--hx", "3", "--hy", "3"], 0.5),
+        (["zx.csv", "zy.csv"], ["--hx", "0.5", "--hy", "0.5"], 0.5),
+        (["zx.g2s", "zy.csv", "--boundary", "b.csv"], ["--hx", "3", "--hy", "3"], 0.5),
+        (["zx.csv", "zy.csv", "--boundary", "b-2.g2s"], ["--hx", "3", "--hy", "3"], 2.0),
+    ], ids=["binary", "binary-csv", "csv-binary", "csv-flags", "csv-boundary",
+            "binary-boundary"])
+    def test_spacings_come_from_the_binary_grids(self, tmp_path, capsys, files, flags, h):
+        values = self.grids(tmp_path)
+        assert main(self.argv(tmp_path, files, flags)) == 0
+        got = read_grid(tmp_path / "z.g2s")
+        g = GradientField(values["zx"], values["zy"], h, h)
+        spec = Dirichlet(values["b"]) if "--boundary" in files else Gls()
+        assert (got.hx, got.hy) == (h, h)
+        assert np.array_equal(got.values, reconstruct(g, *g.operators(2), spec).heights)
+
+    @pytest.mark.parametrize("files,first,second", [
+        (["zx.g2s", "zy-quarter.g2s"], ("(0.5, 0.5)", "zx.g2s"), ("(0.5, 0.25)", "zy-quarter.g2s")),
+        (["zy-quarter.g2s", "zx.g2s"], ("(0.5, 0.25)", "zy-quarter.g2s"), ("(0.5, 0.5)", "zx.g2s")),
+        (["zx.csv", "zy.g2s", "--boundary", "b-2.g2s"], ("(0.5, 0.5)", "zy.g2s"),
+         ("(2.0, 2.0)", "b-2.g2s")),
+    ], ids=["gradients", "gradients-swapped", "boundary"])
+    def test_binaries_that_disagree_are_refused(self, tmp_path, capsys, files, first, second):
+        self.grids(tmp_path)
+        assert main(self.argv(tmp_path, files, ["--hx", "0.5", "--hy", "0.5"])) == 1
+        (h0, f0), (h1, f1) = first, second
+        assert capsys.readouterr().err == (
+            "surfrec: dimension error: node spacings (hx, hy) differ: "
+            f"{h0} in {tmp_path / f0}, {h1} in {tmp_path / f1}\n")
+        assert not (tmp_path / "z.g2s").exists()
+
+
 def run_process(argv, **env_vars):
     """The CLI in a process of its own, as the installed command runs it,
     with env_vars added to its environment; -W error also fails on runpy's
@@ -169,6 +227,29 @@ class TestProcess:
                                 "--trials", "2", "--out", str(out)], **one)
             assert (done.returncode, done.stderr) == (0, "")
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    # pytest has imported csv already, so only a fresh process shows that
+    # the CSV writer loads it itself
+    def test_lcurve_csv_matches_in_process_run(self, tmp_path):
+        _, zx, zy = discrete_gradient_files(tmp_path, n=16, seed=94)
+        want, out = tmp_path / "want.csv", tmp_path / "lcurve.csv"
+        assert main(["lcurve", zx, zy, "--points", "8", "--out", str(want)]) == 0
+        done = run_process(["lcurve", zx, zy, "--points", "8", "--out", str(out)])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_bench_csv_matches_in_process_run(self, tmp_path):
+        want, out = tmp_path / "want.csv", tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "16", "--repeats", "1"]
+        assert main([*argv, "--out", str(want)]) == 0
+        done = run_process([*argv, "--out", str(out)])
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        # the timings differ run to run; the header and method and size columns do not
+        tables = [[line.split(",") for line in path.read_text().splitlines()]
+                  for path in (out, want)]
+        assert tables[0][0] == tables[1][0] == ["method", "size", "seconds", "seconds_min",
+                                                "repeats"]
+        assert [row[:2] for row in tables[0]] == [row[:2] for row in tables[1]]
 
     def test_refused_input(self, tmp_path):
         _, zx, zy = discrete_gradient_files(tmp_path, seed=92)

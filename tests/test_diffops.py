@@ -264,6 +264,10 @@ class TestApply:
             apply_dx(z, diff_matrix(4, 1.0, 2))
         with pytest.raises(DimensionError):
             apply_dy(z, diff_matrix(6, 1.0, 2))
+        with pytest.raises(DimensionError, match=r"expected a 2-d grid, got shape \(6,\)"):
+            apply_dx(np.zeros(6), diff_matrix(6, 1.0, 2))
+        with pytest.raises(DimensionError, match="operator has 4 nodes but the array has 6 rows"):
+            diff_matrix(4, 1.0, 2).left_product(np.zeros((6, 2)))
 
     def test_accepts_surface_objects(self):
         z = Surface(np.ones((3, 3)))

@@ -1,3 +1,4 @@
+import os
 import struct
 import threading
 import warnings
@@ -147,10 +148,19 @@ class TestCsv:
         assert str(exc.value) == f"{path}: {message}"
 
 
-def test_atomic_write_leaves_no_temp_files(tmp_path):
+def test_atomic_write_leaves_no_temp_files(tmp_path, monkeypatch):
     path = tmp_path / "grid.g2s"
     write_grid(path, np.ones((3, 3)))
     write_grid(path, np.zeros((3, 3)))  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.g2s"]
+    assert np.array_equal(read_grid(path).values, np.zeros((3, 3)))
+    # a rename that fails leaves the old file whole and no temporary file
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write_grid(path, np.ones((3, 3)))
     assert [p.name for p in tmp_path.iterdir()] == ["grid.g2s"]
     assert np.array_equal(read_grid(path).values, np.zeros((3, 3)))
 
@@ -196,6 +206,14 @@ def test_write_refuses_what_read_refuses(tmp_path, case, suffix):
     with pytest.raises(FormatError):
         write_grid(path, values, hx=hx)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("suffix", [".g2s", ".csv"])
+@pytest.mark.parametrize("values", [np.ones(3), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+def test_write_refuses_a_grid_that_is_not_2d(tmp_path, suffix, values):
+    with pytest.raises(FormatError, match="grids must be 2-d"):
+        write_grid(tmp_path / ("grid" + suffix), values)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_ignores_spacings(tmp_path):

@@ -314,10 +314,18 @@ class TestAssemble:
         system = assemble(g, dx, dy, spec)
         assert (system.b is system.a) == (dx == dy and alike)
 
-    def test_spectral_size_mismatch(self):
-        g, dx, dy = noisy_problem()
-        with pytest.raises(DimensionError):
-            assemble(g, dx, dy, Spectral(cosine_basis(g.m + 1, 3), cosine_basis(g.n, 3)))
+    @pytest.mark.parametrize("spec,message", [
+        (Spectral(cosine_basis(13, 3), cosine_basis(14, 3)), "y basis sampled on 13 nodes"),
+        (Spectral(cosine_basis(12, 3), cosine_basis(15, 3)), "x basis sampled on 15 nodes"),
+        (Weighted(CovarianceSet(xx=np.eye(14), xy=np.eye(13), yx=np.eye(14), yy=np.eye(12))),
+         "row covariances must be m-by-m"),
+        (Weighted(CovarianceSet(xx=np.eye(14), xy=np.eye(12), yx=np.eye(15), yy=np.eye(12))),
+         "column covariances must be n-by-n"),
+    ], ids=["spectral-y", "spectral-x", "weighted-rows", "weighted-columns"])
+    def test_spec_sized_for_another_grid(self, spec, message):
+        g, dx, dy = noisy_problem()  # 12x14
+        with pytest.raises(DimensionError, match=message):
+            assemble(g, dx, dy, spec)
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
@@ -325,6 +333,8 @@ class TestAssemble:
         with pytest.raises(ValueError):
             CovarianceSet(xx=np.array([[1.0, 0.5], [0.0, 1.0]]), xy=np.eye(3),
                           yx=np.eye(2), yy=np.eye(3))
+        with pytest.raises(DimensionError, match=r"covariance xy must be square, got \(3, 2\)"):
+            CovarianceSet(xx=np.eye(2), xy=np.ones((3, 2)), yx=np.eye(2), yy=np.eye(3))
 
     def test_diagonal_covariance_roots_are_vectors(self):
         rng = np.random.default_rng(5)
@@ -418,6 +428,20 @@ class TestOperatorsMatchTheGradient:
         g, z = self.problem()
         with pytest.raises(DimensionError, match="spacings"):
             self.ENTRY_POINTS[entry](g, diff_matrix(9, hx), diff_matrix(8, hy), z)
+
+    def test_refusal_prints_the_spacings_in_full(self):
+        # 2/49 and the step of linspace(-1, 1, 50) differ in the sixteenth
+        # significant digit, so six digits would print the two alike
+        rng = np.random.default_rng(29)
+        g = GradientField(rng.standard_normal((50, 50)), rng.standard_normal((50, 50)),
+                          2 / 49, 2 / 49)
+        x = np.linspace(-1, 1, 50)
+        d = diff_matrix(50, x[1] - x[0])
+        want = ("operator spacings (x 0.04081632653061229, y 0.04081632653061229) differ from "
+                "the gradient's (hx 0.04081632653061224, hy 0.04081632653061224)")
+        with pytest.raises(DimensionError) as exc:
+            reconstruct(g, d, d, Gls())
+        assert str(exc.value) == want
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_other_node_count_refused(self, entry):
@@ -573,6 +597,11 @@ class TestReconstruct:
         g, dx, dy = noisy_problem()
         with pytest.raises(DimensionError):
             reconstruct(g, dy, dy, Gls())
+
+    def test_unknown_spec_refused(self):
+        g, dx, dy = noisy_problem()
+        with pytest.raises(TypeError, match="unknown method spec"):
+            reconstruct(g, dx, dy, "gls")
 
     def test_dirichlet_needs_interior(self):
         # a 2-row grid has no interior: no operator on its two nodes exists

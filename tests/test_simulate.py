@@ -61,6 +61,9 @@ class TestBumpSurface:
             GaussianBump(1.0, (0, 0), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
         with pytest.raises(ValueError):
             GaussianBump(1.0, (0, 0), np.array([[1.0, 0.1], [0.0, 1.0]]))  # asymmetric
+        for amplitude, shape in ((np.inf, np.eye(2)), (1.0, np.diag([np.nan, 1.0]))):
+            with pytest.raises(ValueError, match="bump parameters must be finite"):
+                GaussianBump(amplitude, (0, 0), shape)
 
 
 class TestAddNoise:
@@ -128,8 +131,12 @@ class TestAddNoise:
         assert NoiseSpec("iid", np.float32(0.1), np.int64(3)).seed == 3
         with pytest.raises(ValueError, match="rows must be an integer"):
             BumpSurfaceSpec(default_bump_spec().bumps, rows=10.5)
+        with pytest.raises(DimensionError, match="at least a 2x2 grid"):
+            BumpSurfaceSpec(default_bump_spec().bumps, cols=1)
+        with pytest.raises(ValueError, match="extent must be increasing"):
+            BumpSurfaceSpec(default_bump_spec().bumps, extent=(1.0, -1.0, -1.0, 1.0))
         with pytest.raises(ValueError, match="trials must be an integer"):
-            monte_carlo([("gls", Gls())], NoiseSpec("iid", 0.1), [0.1], trials=True,
+            monte_carlo([("gls", Gls())], "iid", [0.1], trials=True,
                         base_seed=0, surface_spec=default_bump_spec(16, 16), order=2)
 
 
@@ -411,7 +418,7 @@ class TestLCurveTikhonov:
 class TestMonteCarlo:
     def test_deterministic_tables(self):
         methods = [("gls", Gls()), ("tik", Tikhonov(lam=0.5))]
-        kwargs = dict(noise=NoiseSpec("iid", 0.1, 0), levels=[0.05, 0.1], trials=3,
+        kwargs = dict(kind="iid", levels=[0.05, 0.1], trials=3,
                       base_seed=314, surface_spec=default_bump_spec(16, 16), order=2)
         a = monte_carlo(methods, **kwargs)
         b = monte_carlo(methods, **kwargs)
@@ -425,7 +432,7 @@ class TestMonteCarlo:
         z_true, _ = bump_surface(default_bump_spec(48, 48))
         methods = [("gls", Gls()),
                    ("dirichlet", Dirichlet(boundary_frame(z_true)))]
-        result = monte_carlo(methods, NoiseSpec("iid", 0.1, 0), levels=[0.0], trials=1,
+        result = monte_carlo(methods, "iid", levels=[0.0], trials=1,
                              base_seed=1, surface_spec=default_bump_spec(48, 48), order=4)
         for cell in result.cells:
             assert cell.rel_error_mean <= 1e-4
@@ -437,7 +444,7 @@ class TestMonteCarlo:
             ("tik", Tikhonov(lam=0.3)),
             ("lcurve", LCurveTikhonov()),
         ]
-        result = monte_carlo(methods, NoiseSpec("iid", 0.1, 0), levels=[0.1], trials=5,
+        result = monte_carlo(methods, "iid", levels=[0.1], trials=5,
                              base_seed=11, surface_spec=default_bump_spec(24, 24), order=2)
         costs = {}
         for rec in result.trials:
@@ -446,25 +453,32 @@ class TestMonteCarlo:
             assert per_method["gls"] <= per_method["tik"] + 1e-9
             assert per_method["gls"] <= per_method["lcurve"] + 1e-9
 
-    @pytest.mark.parametrize("levels,methods,message", [
-        ([0.1, 0.1], [("gls", Gls())], r"noise levels repeated: \[0\.1\]"),
-        ([0.1], [("m", Gls()), ("m", Tikhonov(lam=0.5))], r"method labels repeated: \['m'\]"),
-        ([0.1, -1], [("gls", Gls())], "noise level must be a finite"),
-        ([0.1, "0.1"], [("gls", Gls())], "noise level must be a finite"),
-    ], ids=["level", "label", "negative-level", "string-level"])
-    def test_repeats_refused_before_any_trial(self, monkeypatch, levels, methods, message):
-        # a repeated level or label would pool the trials of two cells, and a
-        # bad level after a good one must not cost the good level's trials
+    @pytest.mark.parametrize("kind,levels,methods,message", [
+        ("iid", [0.1, 0.1], [("gls", Gls())], r"noise levels repeated: \[0\.1\]"),
+        ("iid", [0.1], [("m", Gls()), ("m", Tikhonov(lam=0.5))],
+         r"method labels repeated: \['m'\]"),
+        ("iid", [0.1, -1], [("gls", Gls())], "noise level must be a finite"),
+        ("iid", [0.1, "0.1"], [("gls", Gls())], "noise level must be a finite"),
+        ("salt", [0.1], [("gls", Gls())], "noise kind must be one of"),
+        ("outliers", [0.1, 1.5], [("gls", Gls())], "outlier fraction cannot exceed 1"),
+        ("iid", [], [("gls", Gls())], "needs at least one noise level"),
+        ("iid", [0.1], [], "needs at least one method label"),
+    ], ids=["level", "label", "negative-level", "string-level", "unknown-kind",
+            "outlier-fraction", "no-levels", "no-methods"])
+    def test_repeats_refused_before_any_trial(self, monkeypatch, kind, levels, methods, message):
+        # a repeated level or label would pool the trials of two cells, a bad
+        # level after a good one must not cost the good level's trials, and
+        # an empty grid would return a table of no cells
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(simulate, "run_method", no_trial)
         with pytest.raises(ValueError, match=message):
-            monte_carlo(methods, NoiseSpec("iid", 0.1, 0), levels=levels, trials=2,
+            monte_carlo(methods, kind, levels=levels, trials=2,
                         base_seed=5, surface_spec=default_bump_spec(16, 16), order=2)
 
     def test_csv_layout(self):
-        result = monte_carlo([("gls", Gls())], NoiseSpec("iid", 0.1, 0), levels=[0.1],
+        result = monte_carlo([("gls", Gls())], "iid", levels=[0.1],
                              trials=2, base_seed=5,
                              surface_spec=default_bump_spec(12, 12), order=2)
         lines = result.to_csv().strip().splitlines()
@@ -477,7 +491,7 @@ class TestMonteCarlo:
 
     def test_csv_columns_are_the_cell_fields(self):
         result = monte_carlo([("gls", Gls()), ("tik", Tikhonov(lam=0.5))],
-                             NoiseSpec("iid", 0.1, 0), levels=[0.05, 0.1], trials=2,
+                             "iid", levels=[0.05, 0.1], trials=2,
                              base_seed=5, surface_spec=default_bump_spec(12, 12), order=2)
         header, *rows = [line.split(",") for line in result.to_csv().splitlines()]
         assert header == [f.name for f in dataclasses.fields(CellStats)]
@@ -491,7 +505,7 @@ class TestMonteCarlo:
         z_true, g_true = bump_surface(spec)
         dx, dy = g_true.operators(2)
         result = monte_carlo([("gls", Gls()), ("tik", Tikhonov(lam=0.5))],
-                             NoiseSpec("outliers", 0.1, 0), levels=[0.02, 0.05], trials=2,
+                             "outliers", levels=[0.02, 0.05], trials=2,
                              base_seed=17, surface_spec=spec, order=2)
         for rec in result.trials:
             g = cell_gradient(g_true, "outliers", rec.level, 17,

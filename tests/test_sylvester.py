@@ -95,6 +95,8 @@ class TestSymSqrt:
             sym_sqrt(np.diag([1.0, -2.0]))
         with pytest.raises(ValueError):
             sym_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionError, match=r"must be square, got shape \(2, 3\)"):
+            sym_sqrt(np.ones((2, 3)))
 
 
 class TestWorkEstimate:
@@ -118,6 +120,8 @@ class TestWorkEstimate:
             work_estimate(0, 2)
         with pytest.raises(ValueError):
             work_estimate(2, 2, "fft")
+        with pytest.raises(ValueError, match="truncation level"):
+            work_estimate(2, 2, "spectral", truncation_level=-1)
 
 
 def gls_system(g, dx, dy):
@@ -204,11 +208,19 @@ class TestSolveDeflated:
 
 
 class TestSylvesterSystem:
-    def test_dimension_validation(self):
+    @pytest.mark.parametrize("blocks,message", [
+        (dict(f=(5, 4)), "data block F must be 5x3"),
+        (dict(a=(5,)), "must be 2-d"),
+        (dict(g=(4, 5)), "data block G must be 4x6"),
+        (dict(u=(5,), v=(3,)), "null vector lengths"),
+        (dict(u=(4,), v=(4,)), "null vector lengths"),
+    ], ids=["f", "1-d-block", "g", "u-length", "v-length"])
+    def test_dimension_validation(self, blocks, message):
+        # a 5x4 a, a 6x3 b, so the unknown is 4x3, F is 5x3 and G is 4x6
+        shapes = {"a": (5, 4), "b": (6, 3), "f": (5, 3), "g": (4, 6), **blocks}
         rng = np.random.default_rng(16)
-        with pytest.raises(DimensionError):
-            SylvesterSystem(a=rng.standard_normal((5, 4)), b=rng.standard_normal((6, 3)),
-                            f=rng.standard_normal((5, 4)), g=rng.standard_normal((4, 6)))
+        with pytest.raises(DimensionError, match=message):
+            SylvesterSystem(**{k: rng.standard_normal(v) for k, v in shapes.items()})
 
     def test_null_vector_validation(self):
         d = diff_matrix(5, 1.0, 2)
