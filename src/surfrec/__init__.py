@@ -26,8 +26,8 @@ _EXPORTS = {
     "methods": ("CovarianceSet", "Dirichlet", "Gls", "MethodSpec", "Spectral", "Tikhonov",
                 "Weighted", "assemble", "gradient_misfit", "reconstruct"),
     "regparam": ("LCurveTikhonov", "SpectralCache", "build_cache", "corner",
-                 "default_lambda_grid", "filter_factors", "l_curve", "lcurve_reconstruct",
-                 "reconstruct_from_cache", "tikhonov_coefficients"),
+                 "default_lambda_grid", "l_curve", "lcurve_reconstruct",
+                 "reconstruct_from_cache"),
     "simulate": ("BumpSurfaceSpec", "GaussianBump", "MonteCarloResult", "NoiseSpec",
                  "TrialMetrics", "add_noise", "boundary_frame", "bump_surface",
                  "default_bump_spec", "evaluate", "monte_carlo", "oracle_gls",

@@ -6,7 +6,9 @@ coefficient matrices D_y.T D_y and D_x.T D_x once
 (:func:`~surfrec.sylvester.factor` of the GLS system) turns every subsequent
 regularized solve into an elementwise formula over the transformed
 right-hand side; a whole sweep of regularization parameters (an L-curve)
-costs little more than the two symmetric eigendecompositions.
+costs little more than the symmetric eigendecompositions: one when the grid
+is square with equal spacing (both axes share one operator), two otherwise.
+The filter factors d_ij / (d_ij + 2 lam^2) are ``factors.divide(pencil, 2 lam^2)``.
 
 :func:`lcurve_reconstruct` is the one route from a gradient to the
 parameter at the L-curve corner and its surface; the Monte-Carlo harness
@@ -45,16 +47,13 @@ class SpectralCache:
     hx: float = 1.0
     hy: float = 1.0
 
-    def operator_eigenvalues(self) -> np.ndarray:
-        """d_ij = lambda_i + mu_j, the Sylvester operator spectrum."""
-        return self.factors.pencil
-
 
 def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCache:
     """Factor the operators and transform the measured gradient.
 
-    Cost is dominated by the two symmetric eigendecompositions; everything
-    downstream of the cache is O(mn) per regularization parameter.
+    Cost is dominated by the symmetric eigendecompositions, one for a square
+    grid with equal spacing and two otherwise; everything downstream of the
+    cache is O(mn) per regularization parameter.
     """
     system = assemble(g, dx, dy, Gls())
     factors = factor(system)
@@ -69,33 +68,17 @@ def build_cache(g: GradientField, dx: DiffMatrix, dy: DiffMatrix) -> SpectralCac
     )
 
 
-def tikhonov_coefficients(cache: SpectralCache, lam: float) -> np.ndarray:
-    """Transformed solution coefficients for regularization parameter lam.
-
-    Entrywise m_ij = R'_ij / (d_ij + 2 lam^2).  The entry where both
-    eigenvalues vanish is the free constant of integration; it is pinned to
-    zero, as in :func:`~surfrec.sylvester.solve`, so the two solution paths
-    agree.
-    """
-    finite_real("regularization parameter lam", lam)
-    return cache.factors.divide(cache.rhs_t, 2.0 * lam * lam)
-
-
-def filter_factors(cache: SpectralCache, lam: float) -> np.ndarray:
-    """Spectral attenuation factors f_ij = d_ij / (d_ij + 2 lam^2).
-
-    All factors lie in [0, 1]; they are 1 at lam = 0 (plain least squares)
-    and fall toward 0 as lam grows.  The doubly-null entry is reported as 0,
-    consistent with its coefficient being pinned.
-    """
-    finite_real("regularization parameter lam", lam)
-    return cache.factors.divide(cache.factors.pencil, 2.0 * lam * lam)
-
-
 def reconstruct_from_cache(cache: SpectralCache, lam: float) -> Surface:
-    """Surface for the given parameter: a weighted sum of rank-one terms."""
+    """Surface for the given parameter: a weighted sum of rank-one terms.
+
+    Its coefficients are m_ij = R'_ij / (d_ij + 2 lam^2).  The entry where
+    both eigenvalues vanish is the free constant of integration; it is
+    pinned to zero, as in :func:`~surfrec.sylvester.solve`, so the two
+    solution paths agree.
+    """
+    finite_real("regularization parameter lam", lam)
     return Surface(
-        heights=cache.factors.from_basis(tikhonov_coefficients(cache, lam)),
+        heights=cache.factors.from_basis(cache.factors.divide(cache.rhs_t, 2.0 * lam * lam)),
         hx=cache.hx,
         hy=cache.hy,
     )
@@ -152,7 +135,7 @@ def default_lambda_grid(cache: SpectralCache, count: int = 20) -> np.ndarray:
     if whole_number("grid size", count) < 2:
         raise ValueError("grid needs at least two points")
     # eigh can return the null eigenvalue pair slightly below zero
-    scale = float(np.median(np.sqrt(np.maximum(cache.operator_eigenvalues(), 0.0))))
+    scale = float(np.median(np.sqrt(np.maximum(cache.factors.pencil, 0.0))))
     return np.geomspace(1e-4 * scale, 1e1 * scale, count)
 
 
@@ -197,7 +180,6 @@ def corner(points) -> float:
     return float(lams[int(np.argmax(curv))])
 
 
-
 @dataclass(frozen=True)
 class LCurveTikhonov:
     """Standard-form penalty with the parameter chosen at the corner of an
@@ -220,8 +202,12 @@ def lcurve_reconstruct(g: GradientField, dx: DiffMatrix, dy: DiffMatrix,
 
     The only code that chains :func:`build_cache`, :func:`default_lambda_grid`,
     :func:`l_curve`, :func:`corner` and :func:`reconstruct_from_cache`: one
-    factorization serves the sweep, the pick and the surface.
+    factorization serves the sweep, the pick and the surface.  A spec that
+    is not an :class:`LCurveTikhonov` is refused with ``TypeError`` before
+    anything is factored.
     """
+    if not isinstance(spec, LCurveTikhonov):
+        raise TypeError(f"unknown method spec {spec!r}")
     cache = build_cache(g, dx, dy)
     lam = corner(l_curve(cache, default_lambda_grid(cache, spec.points)))
     return lam, reconstruct_from_cache(cache, lam)

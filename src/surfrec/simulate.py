@@ -384,6 +384,7 @@ def monte_carlo(methods, kind: str, levels, trials: int, base_seed: int,
     label (its cells would pool each other's trials) raises ``ValueError``
     before any trial runs.
     """
+    methods = tuple(methods)  # iterated by the checks, the trials and the cells
     trials = whole_number("trials", trials, 1)
     whole_number("base seed", base_seed, 0)
     levels = [float(NoiseSpec(kind, v).level) for v in levels]

@@ -19,6 +19,23 @@ def test_exports_have_no_duplicates():
     assert len(surfrec.__all__) == len(set(surfrec.__all__))
 
 
+def test_public_names_are_pinned():
+    # a name that leaves or joins the API shows up as an edit here
+    assert surfrec.__all__ == [
+        "BasisSet", "BumpSurfaceSpec", "CovarianceSet", "DiffMatrix", "DimensionError",
+        "Dirichlet", "Factorization", "FormatError", "GaussianBump", "Gls",
+        "GradientField", "GridData", "LCurveTikhonov", "MethodSpec", "MonteCarloResult",
+        "NoiseSpec", "SingularSystemError", "SizeGuardError", "Spectral", "SpectralCache",
+        "Surface", "SurfrecError", "SylvesterSystem", "Tikhonov", "TrialMetrics", "Weighted",
+        "add_noise", "apply_dx", "apply_dy", "assemble", "boundary_frame", "build_cache",
+        "bump_surface", "corner", "cosine_basis", "default_bump_spec", "default_lambda_grid",
+        "diff_matrix", "evaluate", "gradient_misfit", "gram_basis", "haar_basis", "l_curve",
+        "lcurve_reconstruct", "make_basis", "monte_carlo", "oracle_gls",
+        "radial_covariance_set", "read_grid", "reconstruct", "reconstruct_from_cache",
+        "solve", "sym_sqrt", "work_estimate", "write_grid",
+    ]
+
+
 def test_every_benchmark_hook_resolves():
     # the benchmark times the layers the library calls internally by wrapping
     # these module attributes; a refactor that drops one unhooks a layer

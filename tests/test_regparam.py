@@ -4,9 +4,8 @@ import pytest
 from surfrec import (
     DimensionError, Factorization, Gls, GradientField, LCurveTikhonov,
     SingularSystemError, SpectralCache, Surface, Tikhonov, build_cache, bump_surface, corner,
-    default_bump_spec, default_lambda_grid, diff_matrix, evaluate, filter_factors,
-    gradient_misfit, l_curve, lcurve_reconstruct, read_grid, reconstruct,
-    reconstruct_from_cache, regparam, tikhonov_coefficients, write_grid,
+    default_bump_spec, default_lambda_grid, diff_matrix, evaluate, gradient_misfit, l_curve,
+    lcurve_reconstruct, read_grid, reconstruct, reconstruct_from_cache, regparam, write_grid,
 )
 from surfrec.cli import main
 from surfrec.simulate import NoiseSpec, add_noise, run_method, trial_seed
@@ -37,22 +36,27 @@ def tiny_cache(alpha, beta, p, q):
     return SpectralCache(factors=factors, rhs_t=rhs_t, misfit0=0.0)
 
 
+def filters(cache, lam):
+    """Hansen's filter factors d_ij / (d_ij + 2 lam^2), one divide of the pencil."""
+    return cache.factors.divide(cache.factors.pencil, 2 * lam * lam)
+
+
 def gcv_pick(cache, points):
     """Oracle: the grid parameter of least generalized cross-validation,
     rho^2 / (2mn - sum f_ij)^2 (Golub, Heath & Wahba, Technometrics 21, 1979)."""
     size = 2 * cache.rhs_t.size
-    scores = [rho**2 / (size - np.sum(filter_factors(cache, lam))) ** 2
+    scores = [rho**2 / (size - np.sum(filters(cache, lam))) ** 2
               for lam, rho, _ in points]
     return points[int(np.argmin(scores))][0]
 
 
 def per_point_l_curve(cache, grid):
-    """Reference: each L-curve point from tikhonov_coefficients and
-    Factorization.divide, with fresh arrays at every parameter."""
+    """Reference: each L-curve point from Factorization.divide, with fresh
+    arrays at every parameter."""
     points = []
     for lam in grid:
         shift = 2.0 * lam * lam
-        coeffs = tikhonov_coefficients(cache, lam)
+        coeffs = cache.factors.divide(cache.rhs_t, 2 * lam * lam)
         excess = shift * shift * np.sum(cache.factors.divide(coeffs * coeffs))
         rho_sq = cache.misfit0 + excess
         eta_sq = np.linalg.norm(coeffs) ** 2
@@ -119,33 +123,38 @@ class TestBuildCache:
 
 
 class TestCoefficients:
+    """On tiny_cache, whose eigenvectors are identities, the surface
+    reconstruct_from_cache returns is the coefficient array itself."""
+
     def test_hand_value(self):
         cache = tiny_cache(3.0, 4.0, 1.0, 2.0)
-        got = tikhonov_coefficients(cache, 1.0)[0, 0]
+        got = reconstruct_from_cache(cache, 1.0).heights[0, 0]
         assert got == pytest.approx(10.0 / 27.0, abs=1e-15)
 
     def test_large_parameter_drives_coefficients_to_zero(self):
         _, g, dx, dy = noisy_problem(seed=43)
         cache = build_cache(g, dx, dy)
-        small = tikhonov_coefficients(cache, 1e8)
+        small = cache.factors.divide(cache.rhs_t, 2 * 1e8 * 1e8)
         assert np.max(np.abs(small)) <= 1e-10
+        # each height is at most the surface's norm, which the orthonormal
+        # change of basis keeps equal to the coefficients' norm
+        assert np.max(np.abs(reconstruct_from_cache(cache, 1e8).heights)) <= 1e-10
 
     def test_zero_parameter_is_plain_quotient(self):
         cache = tiny_cache(3.0, 4.0, 1.0, 2.0)
-        got = tikhonov_coefficients(cache, 0.0)[0, 0]
+        got = reconstruct_from_cache(cache, 0.0).heights[0, 0]
         assert got == pytest.approx(10.0 / 25.0, abs=1e-15)
 
     def test_rejects_negative_parameter(self):
         cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            tikhonov_coefficients(cache, -0.5)
+            reconstruct_from_cache(cache, -0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_parameter(self, bad):
         cache = tiny_cache(1.0, 1.0, 1.0, 1.0)
-        for call in (tikhonov_coefficients, filter_factors, reconstruct_from_cache):
-            with pytest.raises(ValueError, match="lam"):
-                call(cache, bad)
+        with pytest.raises(ValueError, match="lam"):
+            reconstruct_from_cache(cache, bad)
         with pytest.raises(ValueError, match="lam"):
             l_curve(cache, [0.5, bad])
 
@@ -154,22 +163,22 @@ class TestFilterFactors:
     def test_all_ones_at_zero(self):
         _, g, dx, dy = noisy_problem(seed=44)
         cache = build_cache(g, dx, dy)
-        factors = filter_factors(cache, 0.0)
-        mu_sq = cache.operator_eigenvalues()
+        factors = filters(cache, 0.0)
+        mu_sq = cache.factors.pencil
         live = mu_sq > 1e-10 * mu_sq.max()
         assert np.max(np.abs(factors[live] - 1.0)) <= 1e-10
 
     def test_half_at_matching_parameter(self):
         cache = tiny_cache(3.0, 4.0, 1.0, 1.0)
         lam = np.sqrt((3.0**2 + 4.0**2) / 2.0)
-        assert filter_factors(cache, lam)[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert filters(cache, lam)[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_monotone_in_parameter_and_bounded(self):
         _, g, dx, dy = noisy_problem(seed=45)
         cache = build_cache(g, dx, dy)
-        previous = filter_factors(cache, 0.0)
+        previous = filters(cache, 0.0)
         for lam in np.geomspace(1e-3, 1e3, 13):
-            current = filter_factors(cache, lam)
+            current = filters(cache, lam)
             assert np.all(current <= previous + 1e-14)
             assert np.all(current >= 0.0) and np.all(current <= 1.0)
             previous = current
@@ -442,6 +451,17 @@ class TestLCurveRoute:
                      "--out", str(out)]) == 0
         assert f"lambda {lam_want:.17e}\n" in capsys.readouterr().out
         assert np.array_equal(read_grid(out).values, z_want)
+
+    @pytest.mark.parametrize("spec", [Gls(), Tikhonov(lam=0.5), None, 20],
+                             ids=["gls", "tikhonov", "none", "int"])
+    def test_other_spec_refused_before_factoring(self, monkeypatch, spec):
+        def no_cache(*args):
+            raise AssertionError("build_cache ran")
+
+        monkeypatch.setattr(regparam, "build_cache", no_cache)
+        _, g, dx, dy = noisy_problem(seed=55)
+        with pytest.raises(TypeError, match="unknown method spec"):
+            lcurve_reconstruct(g, dx, dy, spec)
 
     @pytest.mark.parametrize("caller", ["run_method", "cli"])
     def test_each_step_runs_once(self, tmp_path, monkeypatch, caller):

@@ -477,6 +477,18 @@ class TestMonteCarlo:
             monte_carlo(methods, kind, levels=levels, trials=2,
                         base_seed=5, surface_spec=default_bump_spec(16, 16), order=2)
 
+    @pytest.mark.parametrize("wrap", [iter, lambda pairs: (p for p in pairs)],
+                             ids=["iterator", "generator"])
+    def test_one_shot_methods_give_the_list_table(self, wrap):
+        # the pairs are read by the label checks, the trials and the cells
+        methods = [("gls", Gls()), ("tik", Tikhonov(lam=0.5))]
+        kwargs = dict(kind="iid", levels=[0.1], trials=2, base_seed=0,
+                      surface_spec=default_bump_spec(12, 12), order=2)
+        want = monte_carlo(methods, **kwargs)
+        got = monte_carlo(wrap(methods), **kwargs)
+        assert len(want.cells) == 2 and len(want.trials) == 4
+        assert got == want and got.to_csv() == want.to_csv()
+
     def test_csv_layout(self):
         result = monte_carlo([("gls", Gls())], "iid", levels=[0.1],
                              trials=2, base_seed=5,
