@@ -25,8 +25,10 @@ class BasisSet:
     band-pass slice taken with :meth:`subset` remembers which original
     functions it kept (in particular whether the constant, index 0, is
     present).  The entries must be a finite, non-empty 2-d matrix and the
-    labels distinct.  They are stored C-ordered, so the caller's layout
-    cannot change a solve's rounding or speed.
+    labels distinct, and a column labelled 0 must be constant: its entries
+    bitwise equal and non-zero, since a spectral solve takes it as the null
+    vector of D.  They are stored C-ordered, so the caller's layout cannot
+    change a solve's rounding or speed.
     """
 
     entries: np.ndarray
@@ -44,6 +46,10 @@ class BasisSet:
         if repeated:
             # two equal columns would make the spectral operator rank deficient
             raise ValueError(f"column labels repeated: {repeated}")
+        if 0 in self.columns:
+            const = entries[:, self.columns.index(0)]
+            if const[0] == 0 or np.any(const != const[0]):
+                raise ValueError("the column labelled 0 must be constant: equal, non-zero entries")
 
     @property
     def n(self) -> int:

@@ -1,11 +1,11 @@
 """Finite-difference differentiation operators and grid containers.
 
-An operator is the value (n, h, order) with a derived, read-only dense
-matrix: centered stencils in the interior and one-sided stencils of the
-*same* accuracy order at the boundary rows, so the whole matrix is uniformly
-second or fourth order accurate.  Every operator annihilates the constant
-vector (rows sum to zero) and has a one-dimensional null space, which
-downstream solvers rely on.
+An operator is the value (n, h, order), applied by stencil: centered
+stencils in the interior and one-sided stencils of the *same* accuracy order
+at the boundary rows, so it is uniformly second or fourth order accurate.
+Its read-only dense matrix is derived on first use, by the solvers whose
+blocks it is.  Every operator annihilates the constant vector (rows sum to
+zero) and has a one-dimensional null space, which downstream solvers rely on.
 
 Grids follow the convention: row index runs along y, column index along x.
 For a height grid Z, the x-derivative is Z @ D_x.T and the y-derivative is
@@ -15,6 +15,7 @@ D_y @ Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,30 +31,16 @@ _STENCILS = {
 }
 
 
-def _stencil_matrix(n: int, order: int, h: float) -> np.ndarray:
-    """Differentiation matrix at spacing h: each table weight c becomes c / h."""
-    centre, start = (np.divide(t, h) for t in _STENCILS[order])
-    w, width = start.shape
-    d = np.zeros((n, n))
-    for k, c in enumerate(centre, 1):
-        # row i of each view is matrix row w + i
-        np.fill_diagonal(d[w:n - w, w + k:], c)
-        np.fill_diagonal(d[w:n - w, w - k:], -c)
-    d[:w, :width] = start
-    d[n - w:, n - width:] = -start[::-1, ::-1]
-    return d
-
-
 @dataclass(frozen=True)
 class DiffMatrix:
     """Differentiation operator on n nodes with uniform spacing h.
 
     (n, h, order) is the whole state, compared and hashed: an integer n of
     at least order + 1, an order of exactly 2 or 4 and a finite positive h.
-    ``entries`` is the dense matrix derived from them once, read-only.  It
-    and :meth:`left_product` are both read from one stencil table per order
-    (centred rows inside, one-sided rows of the same order at the ends, two
-    per end for order 4), so ``left_product(I)`` is ``entries`` bitwise.
+    :meth:`left_product` is the one reader of the stencil table (centred
+    rows inside, one-sided rows of the same order at the ends, two per end
+    for order 4), and ``entries``, the dense matrix, is derived on first use
+    as ``left_product(I)``, read-only.
     """
 
     n: int
@@ -67,23 +54,28 @@ class DiffMatrix:
         h = finite_real("node spacing", self.h, positive=True)
         if n < order + 1:
             raise DimensionError(f"order-{order} operator needs at least {order + 1} nodes, got {n}")
-        entries = _stencil_matrix(n, order, h)
-        entries.flags.writeable = False
-        for name, value in (("n", n), ("h", h), ("order", order), ("entries", entries)):
+        for name, value in (("n", n), ("h", h), ("order", order)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # copies and pickles carry the three fields and rebuild the matrix
+        # copies and pickles carry the three fields, never a derived matrix
         return DiffMatrix, (self.n, self.h, self.order)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n-by-n matrix, read-only, built on first read."""
+        entries = self.left_product(np.eye(self.n))
+        entries.flags.writeable = False
+        return entries
 
     def left_product(self, mat: np.ndarray) -> np.ndarray:
         """entries @ mat, evaluated by the stencils in O(rows) per column.
 
-        One pass over the stencil table that builds ``entries``, each entry
-        value c / h its weight, so it is ``entries @ mat`` up to rounding and
-        ``entries`` itself, bitwise, for the identity.  Each end row sums the
-        reversed tail in its start row's order, so D maps an exactly even or
-        odd column (under row reversal) to an exactly odd or even one.
+        One pass over the stencil table, each weight c / h, so it is
+        ``entries @ mat`` up to rounding and ``entries`` itself for the
+        identity.  Each end row sums the reversed tail in its start row's
+        order, so D maps an exactly even or odd column (under row reversal)
+        to an exactly odd or even one.
         """
         mat, n = np.asarray(mat, dtype=float), self.n
         if mat.shape[0] != n:

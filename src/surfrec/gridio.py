@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, finite_real
 
 MAGIC = b"G2S1"
 _HEADER = struct.Struct("<4sIIdd")
@@ -50,8 +50,9 @@ def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
     """Write a grid atomically; format chosen by extension (.csv vs binary).
 
     A grid that :func:`read_grid` would refuse (empty, non-finite, or for
-    binary files above the cell cap or with spacings that are not positive
-    and finite) raises :class:`FormatError` before any file is created.
+    binary files above the cell cap) raises :class:`FormatError` before any
+    file is created, as does, for binary files, a spacing that is not a
+    finite positive real (a bool, string or None included).
     """
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
@@ -61,7 +62,10 @@ def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
         atomic_write(path, _csv_text(values.tolist()).encode())
     else:
         m, n = values.shape
-        hx, hy = float(hx), float(hy)
+        try:
+            hx, hy = finite_real("hx", hx, positive=True), finite_real("hy", hy, positive=True)
+        except ValueError as err:
+            raise FormatError(f"{path}: {err}") from None
         _check_header(path, m, n, hx, hy)
         header = _HEADER.pack(MAGIC, m, n, hx, hy)
         atomic_write(path, header + values.astype("<f8").tobytes())

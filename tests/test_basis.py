@@ -5,6 +5,7 @@ from surfrec import (
     BasisSet, DimensionError, GradientField, Spectral, cosine_basis, diff_matrix, gram_basis,
     haar_basis, make_basis, reconstruct,
 )
+from surfrec.simulate import bump_surface, default_bump_spec
 
 FAMILIES = [cosine_basis, gram_basis, haar_basis]
 
@@ -270,6 +271,30 @@ def test_constructor_refuses_repeated_labels():
     assert BasisSet(entries, "cosine", columns=(0, 2, 5)).columns == (0, 2, 5)
     with pytest.raises(ValueError, match="does not match entry matrix width"):
         BasisSet(entries, "cosine", columns=(0, 2))
+
+
+def test_constructor_refuses_a_non_constant_column_labelled_zero():
+    # a spectral solve takes column 0 as the constant that D annihilates: an
+    # unchecked label made a random orthonormal basis's surface 74 % wrong
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 8)))[0]
+    const = np.full(16, 0.25)
+    nudged = const.copy()
+    nudged[7] = np.nextafter(0.25, 1.0)
+    for bad, columns in ((q, ()), (np.column_stack([q[:, 1:], nudged]), (1, 2, 3, 4, 5, 6, 7, 0)),
+                         (np.column_stack([np.zeros(16), q[:, 1:]]), ())):
+        with pytest.raises(ValueError, match="labelled 0"):
+            BasisSet(bad, "custom", columns=columns)
+    assert BasisSet(np.column_stack([-const, q[:, 1:]]), "custom").columns == tuple(range(8))
+    # labelled without 0, the same columns solve as the dense fit over the basis
+    basis = BasisSet(q, "custom", columns=tuple(range(1, 9)))
+    _, g = bump_surface(default_bump_spec(16, 16))
+    dx, dy = g.operators(2)
+    z = reconstruct(g, dx, dy, Spectral(basis, basis)).heights
+    kron = np.kron(q, q)  # vec(Q C Q.T) = kron(Q, Q) vec(C), vec stacking columns
+    coeff = np.vstack([np.kron(dx.entries, np.eye(16)) @ kron, np.kron(np.eye(16), dy.entries) @ kron])
+    rhs = np.concatenate([g.zx.ravel(order="F"), g.zy.ravel(order="F")])
+    want = (kron @ np.linalg.lstsq(coeff, rhs, rcond=None)[0]).reshape(16, 16, order="F")
+    assert np.linalg.norm(z - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_make_basis_dispatch():

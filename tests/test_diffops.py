@@ -1,13 +1,16 @@
 import copy
 import dataclasses
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from surfrec import (
-    DiffMatrix, DimensionError, GradientField, Surface, apply_dx, apply_dy, diff_matrix,
+    DiffMatrix, DimensionError, Dirichlet, GradientField, Gls, LCurveTikhonov, Spectral, Surface,
+    apply_dx, apply_dy, cosine_basis, diff_matrix, lcurve_reconstruct, reconstruct,
 )
+from surfrec.simulate import boundary_frame, bump_surface, default_bump_spec, evaluate
 
 
 def reference_entries(n, h, order):
@@ -192,10 +195,15 @@ class TestOperatorValue:
         d = diff_matrix(9, 0.5, 4)
         rescaled = dataclasses.replace(d, h=0.25)
         assert np.array_equal(rescaled.entries, reference_entries(9, 0.25, 4))
-        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-            assert twin == d and twin.entries is not d.entries
-            assert np.array_equal(twin.entries, d.entries)
-            assert not twin.entries.flags.writeable
+        built = diff_matrix(64, 0.5, 4)
+        built.entries  # a matrix built before the copy is not carried by it
+        assert len(pickle.dumps(built)) < 8 * 64 * 64 // 64
+        for op in (d, built):
+            for twin in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+                assert twin == op and "entries" not in vars(twin)
+                assert twin.entries is not op.entries
+                assert np.array_equal(twin.entries, op.entries)
+                assert not twin.entries.flags.writeable
 
     @pytest.mark.parametrize("h", [0.1, 0.7, 1.0, 3.0])
     @pytest.mark.parametrize("n,order", [
@@ -204,10 +212,61 @@ class TestOperatorValue:
     def test_entries_are_the_stencil_formula_bitwise(self, n, order, h):
         assert np.array_equal(diff_matrix(n, h, order).entries, reference_entries(n, h, order))
         d = diff_matrix(n, h, order)
-        # one stencil table defines both the dense matrix and the stencil product
+        # the dense matrix is the stencil product of the identity
         assert np.array_equal(d.left_product(np.eye(n)), d.entries)
         # centro-antisymmetric: J D J = -D
         assert np.array_equal(d.entries[::-1, ::-1], -d.entries)
+
+
+class TestDenseMatrixOnDemand:
+    """``entries`` is built on first read, and only by the solvers whose blocks it is."""
+
+    @staticmethod
+    def built(*ops):
+        return tuple("entries" in vars(d) for d in ops)
+
+    def test_construction_builds_nothing(self):
+        assert self.built(DiffMatrix(12, 0.5, 4), diff_matrix(9, 1.0, 2)) == (False, False)
+
+    def test_spectral_solve_and_evaluate_build_nothing(self):
+        truth, g = bump_surface(default_bump_spec(16, 12))
+        dx, dy = g.operators(4)
+        z = reconstruct(g, dx, dy, Spectral(cosine_basis(16, 8), cosine_basis(12, 6)))
+        evaluate(z, truth, g, dx, dy)
+        assert self.built(dx, dy) == (False, False)
+
+    @pytest.mark.parametrize("solve", [
+        lambda truth, g, dx, dy: reconstruct(g, dx, dy, Gls()),
+        lambda truth, g, dx, dy: lcurve_reconstruct(g, dx, dy, LCurveTikhonov()),
+        lambda truth, g, dx, dy: reconstruct(g, dx, dy, Dirichlet(boundary_frame(truth))),
+    ], ids=["gls", "lcurve", "dirichlet"])
+    def test_a_square_grid_builds_only_the_y_matrix(self, solve):
+        truth, g = bump_surface(default_bump_spec(16, 16))
+        dx, dy = g.operators(2)
+        assert dx == dy and dx is not dy
+        solve(truth, g, dx, dy)
+        assert self.built(dx, dy) == (False, True)
+
+    def test_reads_return_one_read_only_array(self):
+        d = diff_matrix(10, 0.5, 2)
+        first = d.entries
+        assert d.entries is first and not first.flags.writeable
+
+    def test_first_reads_from_two_threads_agree(self):
+        d = diff_matrix(512, 0.3, 4)
+        barrier, got = threading.Barrier(2), [None, None]
+
+        def read(i):
+            barrier.wait()
+            got[i] = d.entries
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0].tobytes() == got[1].tobytes() == reference_entries(512, 0.3, 4).tobytes()
+        assert not (got[0].flags.writeable or got[1].flags.writeable)
 
 
 class TestApply:

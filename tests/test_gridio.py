@@ -176,35 +176,43 @@ def _raw_file(path, values, hx, hy):
 
 
 REFUSED_WRITES = {
-    "nan": (np.array([[1.0, np.nan], [2.0, 3.0]]), 1.0),
-    "inf": (np.array([[1.0, 2.0], [-np.inf, 3.0]]), 1.0),
-    "negative-spacing": (np.ones((2, 2)), -1.0),
-    "empty": (np.zeros((0, 3)), 1.0),
+    "nan": (np.array([[1.0, np.nan], [2.0, 3.0]]), {}),
+    "inf": (np.array([[1.0, 2.0], [-np.inf, 3.0]]), {}),
+    "negative-spacing": (np.ones((2, 2)), {"hx": -1.0}),
+    "nan-hy": (np.ones((2, 2)), {"hy": np.nan}),
+    "bool-hx": (np.ones((2, 2)), {"hx": True}),
+    "string-hy": (np.ones((2, 2)), {"hy": "0.5"}),
+    # None is the spacing a CSV GridData carries
+    "none-hx": (np.ones((2, 2)), {"hx": None}),
+    "none-hy": (np.ones((2, 2)), {"hy": None}),
+    "empty": (np.zeros((0, 3)), {}),
 }
 
 
 # CSV files carry no spacings, so only binary files can hold a bad one
 @pytest.mark.parametrize("case,suffix", [
     (case, suffix) for case in REFUSED_WRITES for suffix in (".g2s", ".csv")
-    if not (case == "negative-spacing" and suffix == ".csv")
+    if not (REFUSED_WRITES[case][1] and suffix == ".csv")
 ])
 def test_write_refuses_what_read_refuses(tmp_path, case, suffix):
-    values, hx = REFUSED_WRITES[case]
-    # the reader refuses such a file ...
-    raw = tmp_path / "raw" / ("grid" + suffix)
-    raw.parent.mkdir()
-    _raw_file(raw, values, hx, 1.0)
-    with pytest.raises(FormatError):
-        read_grid(raw)
-    # ... so the writer refuses the grid before creating any file, and an
-    # existing file at the target keeps its bytes
+    values, bad = REFUSED_WRITES[case]
+    spacings = {"hx": 1.0, "hy": 1.0, **bad}
+    # the reader refuses such a file, where an f64 header can hold the spacing ...
+    if all(type(h) is float for h in spacings.values()):
+        raw = tmp_path / "raw" / ("grid" + suffix)
+        raw.parent.mkdir()
+        _raw_file(raw, values, spacings["hx"], spacings["hy"])
+        with pytest.raises(FormatError):
+            read_grid(raw)
+    # ... and the writer refuses the grid, naming a bad spacing, before
+    # creating any file, and an existing file at the target keeps its bytes
     out = tmp_path / "out"
     out.mkdir()
     path = out / ("grid" + suffix)
     write_grid(path, np.ones((2, 2)))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    with pytest.raises(FormatError):
-        write_grid(path, values, hx=hx)
+    with pytest.raises(FormatError, match="".join(bad) or None):
+        write_grid(path, values, **spacings)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
