@@ -24,8 +24,8 @@ import time
 
 import numpy as np
 
-from .basis import BasisSet, make_basis
-from .diffops import GradientField, Surface
+from .basis import _FAMILIES, BasisSet, make_basis
+from .diffops import _STENCILS, GradientField, Surface
 from .errors import DimensionError, FormatError, SingularSystemError, SizeGuardError, whole_number
 from .gridio import _csv_text, atomic_write, read_grid, write_grid
 from .methods import (
@@ -247,7 +247,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("zx", help="x-derivative grid file")
     p.add_argument("zy", help="y-derivative grid file")
     p.add_argument("--out", required=True, help="output surface grid file")
-    p.add_argument("--order", type=int, choices=(2, 4), default=2,
+    p.add_argument("--order", type=int, choices=tuple(_STENCILS), default=2,
                    help="derivative accuracy order (default 2)")
     p.add_argument("--hx", type=float, default=1.0,
                    help="x node spacing when no input grid is binary (binary grids carry theirs)")
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="truncated orthonormal-basis reconstruction")
     _add_grid_args(p)
-    p.add_argument("--basis", choices=("cosine", "gram", "haar"), default="cosine")
+    p.add_argument("--basis", choices=tuple(_FAMILIES), default="cosine")
     p.add_argument("--p", type=int, default=None, help="basis count along y (default half)")
     p.add_argument("--q", type=int, default=None, help="basis count along x (default half)")
     p.add_argument("--drop-cols", default="", help="comma-separated basis columns to remove")
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", type=int, default=150)
     p.add_argument("--cols", type=int, default=150)
-    p.add_argument("--order", type=int, choices=(2, 4), default=4)
-    p.add_argument("--basis", choices=("cosine", "gram", "haar"), default="cosine")
+    p.add_argument("--order", type=int, choices=tuple(_STENCILS), default=4)
+    p.add_argument("--basis", choices=tuple(_FAMILIES), default="cosine")
     p.add_argument("--dump", default="",
                    help="prefix: also write the first cell's gradient and the true surface")
     p.set_defaults(func=_cmd_simulate)
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="128,256,512", help="comma-separated square sizes")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, choices=(2, 4), default=2)
+    p.add_argument("--order", type=int, choices=tuple(_STENCILS), default=2)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -69,7 +69,8 @@ class DiffMatrix:
         return entries
 
     def left_product(self, mat: np.ndarray) -> np.ndarray:
-        """entries @ mat, evaluated by the stencils in O(rows) per column.
+        """entries @ mat, for a vector or a 2-d array, evaluated by the
+        stencils in O(rows) per column.
 
         One pass over the stencil table, each weight c / h, so it is
         ``entries @ mat`` up to rounding and ``entries`` itself for the
@@ -78,6 +79,10 @@ class DiffMatrix:
         to an exactly odd or even one.
         """
         mat, n = np.asarray(mat, dtype=float), self.n
+        if mat.ndim == 1:
+            return self.left_product(mat[:, None])[:, 0]
+        if mat.ndim != 2:
+            raise DimensionError(f"expected a vector or a 2-d array, got shape {mat.shape}")
         if mat.shape[0] != n:
             raise DimensionError(f"operator has {n} nodes but the array has {mat.shape[0]} rows")
         centre, start = (np.divide(t, self.h) for t in _STENCILS[self.order])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,9 +40,7 @@ def _is_csv(path) -> bool:
 
 def read_grid(path) -> GridData:
     """Read a grid file; format chosen by extension (.csv vs binary)."""
-    if _is_csv(path):
-        return _read_csv(path)
-    return _read_binary(path)
+    return _read_csv(path) if _is_csv(path) else _read_binary(path)
 
 
 def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
@@ -52,9 +49,10 @@ def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
     A grid that :func:`read_grid` would refuse (empty, non-finite, or for
     binary files above the cell cap) raises :class:`FormatError` before any
     file is created, as does, for binary files, a spacing that is not a
-    finite positive real (a bool, string or None included).
+    finite positive real (a bool, string or None included).  A float64 grid
+    goes from the array to a binary file without a copy.
     """
-    values = np.ascontiguousarray(values, dtype=float)
+    values = np.ascontiguousarray(values, dtype="<f8")
     if values.ndim != 2:
         raise FormatError(f"grids must be 2-d, got shape {values.shape}")
     _check_values(path, values)
@@ -62,22 +60,19 @@ def write_grid(path, values, hx: float = 1.0, hy: float = 1.0) -> None:
         atomic_write(path, _csv_text(values.tolist()).encode())
     else:
         m, n = values.shape
-        try:
-            hx, hy = finite_real("hx", hx, positive=True), finite_real("hy", hy, positive=True)
-        except ValueError as err:
-            raise FormatError(f"{path}: {err}") from None
-        _check_header(path, m, n, hx, hy)
-        header = _HEADER.pack(MAGIC, m, n, hx, hy)
-        atomic_write(path, header + values.astype("<f8").tobytes())
+        hx, hy = _check_header(path, m, n, hx, hy)
+        atomic_write(path, _HEADER.pack(MAGIC, m, n, hx, hy), values)
 
 
-def _check_header(path, m: int, n: int, hx: float, hy: float) -> None:
-    """The binary header's rules: a non-empty size within the cell cap and
-    positive, finite node spacings."""
+def _check_header(path, m: int, n: int, hx, hy) -> tuple[float, float]:
+    """The binary header's rules, on read and on write: a non-empty size
+    within the cell cap and finite, positive node spacings, returned as floats."""
     if m == 0 or n == 0 or m * n > _MAX_CELLS:
         raise FormatError(f"{path}: implausible grid dimensions {m}x{n}")
-    if not (np.isfinite(hx) and np.isfinite(hy) and hx > 0 and hy > 0):
-        raise FormatError(f"{path}: node spacings must be positive and finite")
+    try:
+        return finite_real("hx", hx, positive=True), finite_real("hy", hy, positive=True)
+    except ValueError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def _check_values(path, values: np.ndarray) -> None:
@@ -98,37 +93,42 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def atomic_write(path, payload: bytes) -> None:
-    """Write bytes to a temporary file and rename into place."""
+def atomic_write(path, *chunks) -> None:
+    """Write the chunks (bytes, or C-contiguous arrays as their raw bytes) to
+    a temporary file beside path, made by ``open`` and so with the mode of
+    any new file, and rename it into place."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    handle = open(tmp, "xb")  # "x" refuses a taken name: the cleanup deletes only ours
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink()
         raise
 
 
 def _read_binary(path) -> GridData:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: file too short to hold a grid header")
-    magic, m, n, hx, hy = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    _check_header(path, m, n, hx, hy)
-    expected = _HEADER.size + 8 * m * n
-    if len(raw) < expected:
-        raise FormatError(
-            f"{path}: truncated payload, header says {m}x{n} "
-            f"({expected - _HEADER.size} bytes) but {len(raw) - _HEADER.size} present"
-        )
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(m, n).copy()
+    """The header, then the payload read straight into the returned array."""
+    with open(path, "rb") as handle:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: file too short to hold a grid header")
+        magic, m, n, hx, hy = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        hx, hy = _check_header(path, m, n, hx, hy)
+        values = np.empty((m, n), dtype="<f8")
+        present = handle.readinto(values)
+        if present < values.nbytes:
+            raise FormatError(f"{path}: truncated payload, header says {m}x{n} "
+                              f"({values.nbytes} bytes) but {present} present")
+        # counted a block at a time, so a long tail is never held whole
+        trailing = sum(iter(lambda: len(handle.read(1 << 16)), 0))
+    if trailing:
+        raise FormatError(f"{path}: {trailing} trailing bytes after payload")
     _check_values(path, values)
     return GridData(values=values, hx=hx, hy=hy)
 

@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from surfrec import (
     read_grid, reconstruct, write_grid,
 )
 from surfrec import simulate
-from surfrec.cli import _BENCH_METHODS, _basis_pair, _parse_list, main, run_bench
+from surfrec.basis import _FAMILIES
+from surfrec.cli import _BENCH_METHODS, _basis_pair, _parse_list, build_parser, main, run_bench
+from surfrec.diffops import _STENCILS
 
 
 def discrete_gradient_files(tmp_path, n=12, seed=80):
@@ -271,6 +274,19 @@ class TestLCurveCommand:
         assert len(lines) == 9
 
 
+def test_table_outputs_get_the_mode_of_a_new_file(tmp_path):
+    _, zx, zy = discrete_gradient_files(tmp_path, seed=86)
+    probe, out = tmp_path / "probe.csv", tmp_path / "lcurve.csv"
+    old = os.umask(0o022)
+    try:
+        with open(probe, "w"):
+            pass
+        assert main(["lcurve", zx, zy, "--points", "8", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode) == 0o644
+
+
 class TestPointsRefusedUpFront:
     """A sweep too small for its command, or a sweep size without a sweep,
     fails before any grid is read."""
@@ -385,6 +401,23 @@ class TestHelpers:
         assert by is bx
         by, bx = _basis_pair("cosine", 10, 10, 5, 6)
         assert by is not bx
+
+    def test_choice_lists_are_the_library_tables(self, monkeypatch):
+        def choices():
+            sub = next(a for a in build_parser()._actions if a.dest == "command")
+            found = {"order": [], "basis": []}
+            for parser in sub.choices.values():
+                for action in parser._actions:
+                    if action.dest in found:
+                        found[action.dest].append(tuple(action.choices))
+            return found
+
+        assert choices() == {"order": [tuple(_STENCILS)] * 8, "basis": [tuple(_FAMILIES)] * 2}
+        # one home: a family or order added to a table is offered by every option
+        monkeypatch.setitem(_STENCILS, 6, _STENCILS[4])
+        monkeypatch.setitem(_FAMILIES, "legendre", _FAMILIES["gram"])
+        assert choices() == {"order": [(2, 4, 6)] * 8,
+                             "basis": [("cosine", "gram", "haar", "legendre")] * 2}
 
     def test_parse_list(self):
         assert _parse_list("3, 1,,4 ,", int) == [3, 1, 4]

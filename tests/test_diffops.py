@@ -100,6 +100,22 @@ class TestDiffMatrix:
         want = d.entries @ mat
         assert np.max(np.abs(d.left_product(mat) - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n,order", [(9, 2), (8, 2), (9, 4), (8, 4), (64, 4)])
+    def test_left_product_takes_a_vector(self, n, order):
+        rng = np.random.default_rng(11)
+        d = diff_matrix(n, 0.37, order)
+        v = rng.standard_normal(n)
+        got, want = d.left_product(v), d.entries @ v
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # a vector is the one column of a matrix, bitwise
+        assert np.array_equal(got, d.left_product(v[:, None])[:, 0])
+
+    @pytest.mark.parametrize("shape", [(9, 2, 3), (9, 1, 1, 1), ()], ids=["3-d", "4-d", "0-d"])
+    def test_left_product_refuses_other_dimensions(self, shape):
+        with pytest.raises(DimensionError, match="vector or a 2-d array"):
+            DiffMatrix(9, 1.0).left_product(np.ones(shape))
+
     @pytest.mark.parametrize("transposed", [False, True], ids=["rows", "transposed-view"])
     def test_order_two_interior_equals_the_difference_expression_bitwise(self, transposed):
         rng = np.random.default_rng(9)

@@ -1,7 +1,10 @@
 import os
+import stat
 import struct
 import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,12 +200,13 @@ REFUSED_WRITES = {
 def test_write_refuses_what_read_refuses(tmp_path, case, suffix):
     values, bad = REFUSED_WRITES[case]
     spacings = {"hx": 1.0, "hy": 1.0, **bad}
-    # the reader refuses such a file, where an f64 header can hold the spacing ...
+    # the reader refuses such a file, where an f64 header can hold the
+    # spacing, naming a bad one ...
     if all(type(h) is float for h in spacings.values()):
         raw = tmp_path / "raw" / ("grid" + suffix)
         raw.parent.mkdir()
         _raw_file(raw, values, spacings["hx"], spacings["hy"])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="".join(bad) or None):
             read_grid(raw)
     # ... and the writer refuses the grid, naming a bad spacing, before
     # creating any file, and an existing file at the target keeps its bytes
@@ -228,3 +232,129 @@ def test_csv_ignores_spacings(tmp_path):
     path = tmp_path / "grid.csv"
     write_grid(path, np.ones((2, 2)), hx=-1.0)
     assert np.array_equal(read_grid(path).values, np.ones((2, 2)))
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def open_mode(directory):
+    """The mode that a file made by a plain ``open(..., "w")`` gets in directory."""
+    probe = directory / "probe.txt"
+    with open(probe, "w"):
+        pass
+    mode = _mode(probe)
+    probe.unlink()
+    return mode
+
+
+@pytest.fixture
+def umask_022():
+    # a umask that leaves group and others a read bit, so a private 0600 shows
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("suffix", [".g2s", ".csv"])
+def test_written_files_get_the_mode_of_a_new_file(tmp_path, umask_022, suffix):
+    path = tmp_path / ("grid" + suffix)
+    write_grid(path, np.ones((3, 3)))
+    assert _mode(path) == open_mode(tmp_path) == 0o644
+    # an overwrite makes a new file too, whatever the mode of the one it replaces
+    path.chmod(0o600)
+    write_grid(path, np.zeros((3, 3)))
+    assert _mode(path) == open_mode(tmp_path)
+    assert np.array_equal(read_grid(path).values, np.zeros((3, 3)))
+
+
+def test_binary_io_holds_no_second_grid(tmp_path):
+    values = np.random.default_rng(72).standard_normal((256, 256))
+    path, grid = tmp_path / "grid.g2s", values.nbytes
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (lambda: write_grid(path, values, hx=0.5, hy=2.0), lambda: read_grid(path)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    # a write holds no copy of the grid; a read holds the one grid it returns
+    assert peaks[0] <= 0.25 * grid
+    assert peaks[1] <= 1.25 * grid
+    assert np.array_equal(got.values, values) and (got.hx, got.hy) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("suffix", [".g2s", ".csv"])
+def test_a_file_at_the_temporary_name_is_left_alone(tmp_path, monkeypatch, suffix):
+    # a pinned random source makes every write pick the same temporary name
+    monkeypatch.setattr(os, "urandom", lambda k: bytes(range(k)))
+    renamed, replace = [], os.replace
+
+    def recording_replace(src, dst):
+        renamed.append(Path(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    path = tmp_path / ("grid" + suffix)
+    write_grid(path, np.ones((2, 2)))
+    (tmp,) = renamed
+    assert tmp.parent == tmp_path and not tmp.exists()
+    tmp.write_bytes(b"another writer's file")
+    with pytest.raises(FileExistsError):
+        write_grid(path, np.zeros((2, 2)))
+    assert tmp.read_bytes() == b"another writer's file"
+    assert np.array_equal(read_grid(path).values, np.ones((2, 2)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, tmp.name])
+
+
+def _through_a_pipe(tmp_path, data):
+    """read_grid of a FIFO that another thread fills in small writes."""
+    fifo = tmp_path / "grid.g2s"
+    os.mkfifo(fifo)
+
+    def writer():
+        with open(fifo, "wb", buffering=0) as handle:
+            for start in range(0, len(data), 1000):
+                handle.write(data[start:start + 1000])
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        return read_grid(fifo)
+    finally:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_reads_as_a_file_does(tmp_path):
+    values = np.random.default_rng(73).standard_normal((40, 30))
+    write_grid(tmp_path / "file.g2s", values, hx=0.25, hy=4.0)
+    data = (tmp_path / "file.g2s").read_bytes()
+    got = _through_a_pipe(tmp_path, data)
+    assert np.array_equal(got.values, values) and (got.hx, got.hy) == (0.25, 4.0)
+    # the counts in the messages come from the reads, not from a file size
+    (tmp_path / "grid.g2s").unlink()
+    with pytest.raises(FormatError) as exc:
+        _through_a_pipe(tmp_path, data[:-20])
+    assert str(exc.value) == (f"{tmp_path / 'grid.g2s'}: truncated payload, header says "
+                              f"40x30 (9600 bytes) but 9580 present")
+
+
+@pytest.mark.parametrize("tail,message", [
+    (-8, "truncated payload, header says 3x4 (96 bytes) but 88 present"),
+    (-96, "truncated payload, header says 3x4 (96 bytes) but 0 present"),
+    (5, "5 trailing bytes after payload"),
+    (200_000, "200000 trailing bytes after payload"),
+])
+def test_payload_length_messages(tmp_path, tail, message):
+    path = tmp_path / "grid.g2s"
+    write_grid(path, np.ones((3, 4)))
+    data = path.read_bytes()
+    path.write_bytes(data[:tail] if tail < 0 else data + b"x" * tail)
+    with pytest.raises(FormatError) as exc:
+        read_grid(path)
+    assert str(exc.value) == f"{path}: {message}"
