@@ -17,7 +17,8 @@ grid (a Tikhonov reference or the Dirichlet boundary), whose gradient is
 subtracted from the data in one place.  Degree-0 Tikhonov shares the GLS
 blocks and only shifts the pencil, degree-1 only rescales them, and a
 diagonal covariance whitens by row and column scaling, so each costs one
-GLS solve.  Only degree-2 Tikhonov stacks penalty rows under the GLS blocks.
+GLS solve.  Only degree-2 Tikhonov stacks penalty rows under the GLS blocks;
+they carry no data, so its F and G are the gradient, unpadded, as for GLS.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class CovarianceSet:
     def __post_init__(self):
         roots = {}
         for name in ("xx", "xy", "yx", "yy"):
-            mat = np.asarray(getattr(self, name), dtype=float)
+            mat = _check_grid(f"covariance {name}", getattr(self, name))
             object.__setattr__(self, name, mat)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            if mat.shape[0] != mat.shape[1]:
                 raise DimensionError(f"covariance {name} must be square, got {mat.shape}")
             try:
                 roots[name] = _roots(mat)
@@ -245,8 +246,6 @@ def _tikhonov(dx, dy, spec: Tikhonov) -> _OperatorPart:
     else:
         a = np.vstack([a, mu * dy.left_product(a)])
         b = a if same else np.vstack([b, lam * dx.left_product(b)])
-        data = lambda zy, zx: (np.vstack([zy, np.zeros_like(zy)]),
-                               np.hstack([zx, np.zeros_like(zx)]))
     to_surface = lambda phi: phi
     if z0 is not None:
         # the shifted solution is mean free like the pinned one; without a shift
@@ -345,8 +344,9 @@ def assemble(g: GradientField, dx: DiffMatrix, dy: DiffMatrix, spec: MethodSpec)
     the data divided by the same factors; its ``cost`` is the stacked cost
     less the Phi-independent constant
     mu^2/(1+mu^2) |F|^2 + lam^2/(1+lam^2) |G|^2.  Degree 2 stacks the
-    penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them.  When both axes
-    would get equal blocks (equal operators, as on a square grid with equal
+    penalty rows ``mu Dy^2`` and ``lam Dx^2`` under them, which carry no
+    data: F and G are the gradient, unpadded.  When both axes would get
+    equal blocks (equal operators, as on a square grid with equal
     spacing, for Tikhonov degrees 1 and 2 also lam = mu, and for weighted
     also yy = xx and xy = yx), one array is passed as both ``a`` and ``b``.
     """

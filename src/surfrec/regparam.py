@@ -84,6 +84,14 @@ def reconstruct_from_cache(cache: SpectralCache, lam: float) -> Surface:
     )
 
 
+def _parameter_grid(values) -> list[float]:
+    """values as floats, each a finite, positive real, strictly ascending."""
+    lams = [finite_real("parameter grid lam", v, positive=True) for v in values]
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("the parameter grid lam must be strictly ascending")
+    return lams
+
+
 def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
     """Points (lam, rho, eta) of the residual/penalty trade-off curve.
 
@@ -99,11 +107,9 @@ def l_curve(cache: SpectralCache, lam_grid) -> list[tuple[float, float, float]]:
     array, sized to stay in cache, whose products with the two give both
     sums.  The pinned entry's divisor is inf, so it weighs nothing.
     """
-    lams = [finite_real("parameter grid lam", v, positive=True) for v in lam_grid]
+    lams = _parameter_grid(lam_grid)
     if not lams:
         raise ValueError("the parameter grid must not be empty")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("the parameter grid lam must be strictly ascending")
     shifts = 2.0 * np.square(lams)
     pencil = cache.factors.divisor().ravel()
     numerators = np.empty((2, pencil.size))  # R'^2 and R'^2 / d
@@ -152,14 +158,16 @@ def corner(points) -> float:
     log-log, or one that only bends the other way) yields the smallest
     parameter.  So does a curve with a zero rho or eta, as a zero gradient
     gives: it has no log-log shape, and it is caught before any logarithm is
-    taken.
+    taken.  The points obey :func:`l_curve`'s rules: each lam a finite,
+    positive real, strictly ascending, and each rho and eta a finite,
+    non-negative real; anything else is refused with ``ValueError``.
     """
     pts = list(points)
     if len(pts) < 5:
         raise ValueError(f"corner detection needs at least 5 points, got {len(pts)}")
-    lams = np.array([p[0] for p in pts])
-    rho = np.array([p[1] for p in pts])
-    eta = np.array([p[2] for p in pts])
+    lams = _parameter_grid(p[0] for p in pts)
+    rho = np.array([finite_real("L-curve rho", p[1]) for p in pts])
+    eta = np.array([finite_real("L-curve eta", p[2]) for p in pts])
     if min(rho.min(), eta.min()) <= 0.0:
         return float(lams[0])
     x, y = np.log(rho), np.log(eta)

@@ -154,13 +154,13 @@ class Factorization:
 class SylvesterSystem:
     """Blocks of normal equations A.T A Phi + Phi B.T B + shift Phi = A.T F + G B.
 
-    ``a`` is r-by-m (left operator, possibly stacked), ``b`` is s-by-n,
-    ``f`` is r-by-n, ``g`` is m-by-s, and the unknown Phi is m-by-n.
-    ``u`` and ``v`` are the null vectors of ``a`` and ``b`` (both present or
-    both absent); when present the unshifted operator's null space is
-    span{u v.T}.  ``shift`` (finite, non-negative) weights a penalty
-    shift |Phi|_F^2 added to the cost; it moves every pencil eigenvalue by
-    the same amount and leaves the eigenvectors alone.
+    ``a`` is r-by-m (possibly stacked), ``b`` s-by-n, and Phi m-by-n.  ``f``'s
+    rows are the data of the first rows of ``a``, ``g``'s columns those of the
+    first rows of ``b``; penalty rows stacked below them carry no data.
+    ``u`` and ``v`` are the null vectors of ``a`` and ``b`` (both present or both
+    absent); when present the unshifted operator's null space is span{u v.T}.
+    ``shift`` (finite, non-negative) weights a penalty shift |Phi|_F^2 added to
+    the cost; it moves every pencil eigenvalue alike and leaves the eigenvectors.
     """
 
     a: np.ndarray
@@ -179,10 +179,10 @@ class SylvesterSystem:
         if a.ndim != 2 or b.ndim != 2 or f.ndim != 2 or g.ndim != 2:
             raise DimensionError("all system blocks must be 2-d arrays")
         m, n = a.shape[1], b.shape[1]
-        if f.shape != (a.shape[0], n):
-            raise DimensionError(f"data block F must be {a.shape[0]}x{n}, got {f.shape}")
-        if g.shape != (m, b.shape[0]):
-            raise DimensionError(f"data block G must be {m}x{b.shape[0]}, got {g.shape}")
+        if f.shape[1] != n or len(f) > len(a):
+            raise DimensionError(f"data block F must be (at most {len(a)})x{n}, got {f.shape}")
+        if len(g) != m or g.shape[1] > len(b):
+            raise DimensionError(f"data block G must be {m}x(at most {len(b)}), got {g.shape}")
         if (self.u is None) != (self.v is None):
             raise DimensionError("null vectors u and v must both be given or both omitted")
         for blk, name in ((a, "a"), (b, "b"), (f, "f"), (g, "g")):
@@ -205,8 +205,8 @@ class SylvesterSystem:
         return self.a.shape[1], self.b.shape[1]
 
     def rhs(self) -> np.ndarray:
-        """A.T F + G B."""
-        return self.a.T @ self.f + self.g @ self.b
+        """A.T F + G B, over the rows of A and B that carry data."""
+        return self.a[:len(self.f)].T @ self.f + self.g @ self.b[:self.g.shape[1]]
 
     def residual(self, phi: np.ndarray) -> float:
         """Frobenius norm of the normal-equation residual at phi."""
@@ -216,12 +216,12 @@ class SylvesterSystem:
         ))
 
     def cost(self, phi: np.ndarray) -> float:
-        """|A phi - F|_F^2 + |phi B.T - G|_F^2 + shift |phi|_F^2."""
-        return float(
-            np.linalg.norm(self.a @ phi - self.f) ** 2
-            + np.linalg.norm(phi @ self.b.T - self.g) ** 2
-            + self.shift * np.linalg.norm(phi) ** 2
-        )
+        """|A phi - F|_F^2 + |phi B.T - G|_F^2 + shift |phi|_F^2 (zero data below F and G)."""
+        fit_a, fit_b = self.a @ phi, phi @ self.b.T
+        fit_a[:len(self.f)] -= self.f
+        fit_b[:, :self.g.shape[1]] -= self.g
+        return float(np.linalg.norm(fit_a) ** 2 + np.linalg.norm(fit_b) ** 2
+                     + self.shift * np.linalg.norm(phi) ** 2)
 
 
 def _parity_groups(blk: np.ndarray):

@@ -8,6 +8,7 @@ from surfrec import (
     SingularSystemError, Spectral, Surface, SylvesterSystem, Tikhonov, Weighted, apply_dx,
     apply_dy, assemble, build_cache, cosine_basis, diff_matrix, evaluate, gradient_misfit,
     gram_basis, lcurve_reconstruct, make_basis, oracle_gls, reconstruct, solve, sym_sqrt,
+    work_estimate,
 )
 from surfrec import methods
 from surfrec.simulate import ORACLE_MAX_CELLS
@@ -335,6 +336,23 @@ class TestAssemble:
                           yx=np.eye(2), yy=np.eye(3))
         with pytest.raises(DimensionError, match=r"covariance xy must be square, got \(3, 2\)"):
             CovarianceSet(xx=np.eye(2), xy=np.ones((3, 2)), yx=np.eye(2), yy=np.eye(3))
+
+    @pytest.mark.parametrize("name", ["xx", "xy", "yx", "yy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_is_named(self, name, bad):
+        blocks = dict(xx=np.eye(2), xy=np.eye(3), yx=np.eye(2), yy=np.eye(3))
+        blocks[name] = blocks[name].copy()
+        blocks[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^covariance {name} contains non-finite values$"):
+            CovarianceSet(**blocks)
+
+    @pytest.mark.parametrize("name", ["xx", "xy", "yx", "yy"])
+    @pytest.mark.parametrize("shape", [(0, 0), (3,)], ids=["empty", "1-d"])
+    def test_covariance_that_is_no_grid_is_named(self, name, shape):
+        blocks = dict(xx=np.eye(2), xy=np.eye(3), yx=np.eye(2), yy=np.eye(3))
+        blocks[name] = np.ones(shape)
+        with pytest.raises(DimensionError, match=f"^covariance {name} must be a 2-d grid"):
+            CovarianceSet(**blocks)
 
     def test_diagonal_covariance_roots_are_vectors(self):
         rng = np.random.default_rng(5)
@@ -718,10 +736,17 @@ class TestTikhonovReference:
                                                    reference=np.zeros((g.m, g.n))))
             assert np.array_equal(plain.heights, zero.heights)
 
-    def test_no_reference_passes_the_data_uncopied(self):
-        g, dx, dy = noisy_problem()
-        system = assemble(g, dx, dy, Tikhonov(lam=0.7, mu=0.3))
+    @pytest.mark.parametrize("problem", [noisy_problem, square_problem], ids=["12x14", "16x16"])
+    @pytest.mark.parametrize("spec", [Gls(), Tikhonov(lam=0.7, mu=0.3),
+                                      Tikhonov(lam=0.7, mu=0.3, degree=2),
+                                      Tikhonov(lam=0.7, degree=2)],
+                             ids=["gls", "tikhonov-0", "tikhonov-2", "tikhonov-2-equal"])
+    def test_no_reference_passes_the_data_uncopied(self, problem, spec):
+        # the stacked penalty rows of degree 2 carry no data, so no degree pads it
+        g, dx, dy = problem()
+        system = assemble(g, dx, dy, spec)
         assert system.f is g.zy and system.g is g.zx
+        assert system.f.shape == system.g.shape == (g.m, g.n)
 
     def test_reference_shape_mismatch(self):
         g, dx, dy = noisy_problem()
@@ -823,7 +848,8 @@ def hook_specs(g, rng):
                                          ((16, 20), 4), ((33, 31), 4), ((64, 64), 4)])
 def test_reconstruct_solves_through_the_hooked_name(monkeypatch, name, shape, order):
     # the benchmark times each method's solve by wrapping methods.solve, so
-    # every reconstruct must call it exactly once, with the system it solves
+    # every reconstruct must call it exactly once, with the system it solves;
+    # it scores that solve from phi_shape, u, rhs() and residual(phi) alone
     rng = np.random.default_rng(28)
     g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape), hx=0.3, hy=0.4)
     dx, dy = g.operators(order)
@@ -839,4 +865,6 @@ def test_reconstruct_solves_through_the_hooked_name(monkeypatch, name, shape, or
     assert len(calls) == 1
     system, phi = calls[0]
     assert isinstance(system, SylvesterSystem)
+    assert system.phi_shape == phi.shape and work_estimate(*system.phi_shape) > 0
+    assert system.u is None or system.u.shape == phi.shape[:1]
     assert system.residual(phi) <= 1e-10 * np.linalg.norm(system.rhs())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,34 @@ class TestCorner:
     def test_needs_five_points(self):
         with pytest.raises(ValueError):
             corner([(1.0, 1.0, 1.0)] * 4)
+
+    @pytest.mark.parametrize("slot,bad,rule", [
+        (0, np.nan, "parameter grid lam must be a finite, positive"),
+        (0, np.inf, "parameter grid lam must be a finite, positive"),
+        (0, 0.0, "parameter grid lam must be a finite, positive"),
+        (0, -0.4, "parameter grid lam must be a finite, positive"),
+        (1, np.nan, "L-curve rho must be a finite, non-negative"),
+        (1, np.inf, "L-curve rho must be a finite, non-negative"),
+        (1, -1.0, "L-curve rho must be a finite, non-negative"),
+        (2, np.nan, "L-curve eta must be a finite, non-negative"),
+        (2, np.inf, "L-curve eta must be a finite, non-negative"),
+        (2, -1.0, "L-curve eta must be a finite, non-negative"),
+    ], ids=["lam-nan", "lam-inf", "lam-zero", "lam-negative", "rho-nan", "rho-inf",
+            "rho-negative", "eta-nan", "eta-inf", "eta-negative"])
+    def test_points_obey_the_l_curve_rules(self, slot, bad, rule):
+        # a bad point used to pass silently and yield a grid parameter
+        points = [[0.1 * (i + 1), 10.0 ** (0.2 * i), 10.0 ** (-0.3 * i)] for i in range(7)]
+        points[3][slot] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{rule} real, got {bad!r}")):
+            corner(points)
+
+    def test_parameters_must_ascend(self):
+        points = [(0.1 * (i + 1), 10.0 ** (0.2 * i), 10.0 ** (-0.3 * i)) for i in range(7)]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            corner(points[:3] + points[2:])  # a repeated parameter
+        points[2], points[3] = points[3], points[2]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            corner(points)
 
     def test_monte_carlo_beats_plain_least_squares(self):
         # a surface with most of its energy away from the lowest modes, so

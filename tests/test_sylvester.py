@@ -209,18 +209,37 @@ class TestSolveDeflated:
 
 class TestSylvesterSystem:
     @pytest.mark.parametrize("blocks,message", [
-        (dict(f=(5, 4)), "data block F must be 5x3"),
+        (dict(f=(5, 4)), r"data block F must be \(at most 5\)x3, got \(5, 4\)"),
         (dict(a=(5,)), "must be 2-d"),
-        (dict(g=(4, 5)), "data block G must be 4x6"),
+        (dict(g=(4, 7)), r"data block G must be 4x\(at most 6\), got \(4, 7\)"),
         (dict(u=(5,), v=(3,)), "null vector lengths"),
         (dict(u=(4,), v=(4,)), "null vector lengths"),
-    ], ids=["f", "1-d-block", "g", "u-length", "v-length"])
+        (dict(f=(6, 3)), r"data block F must be \(at most 5\)x3, got \(6, 3\)"),
+        (dict(g=(3, 6)), r"data block G must be 4x\(at most 6\), got \(3, 6\)"),
+    ], ids=["f", "1-d-block", "g", "u-length", "v-length", "f-rows", "g-rows"])
     def test_dimension_validation(self, blocks, message):
-        # a 5x4 a, a 6x3 b, so the unknown is 4x3, F is 5x3 and G is 4x6
+        # a 5x4 a, a 6x3 b, so the unknown is 4x3, F is at most 5x3 and G at
+        # most 4x6: data may stop short of the stacked rows, never run past them
         shapes = {"a": (5, 4), "b": (6, 3), "f": (5, 3), "g": (4, 6), **blocks}
         rng = np.random.default_rng(16)
         with pytest.raises(DimensionError, match=message):
             SylvesterSystem(**{k: rng.standard_normal(v) for k, v in shapes.items()})
+
+    @pytest.mark.parametrize("seed,rows,cols", [(18, 7, 9), (19, 0, 15), (20, 12, 0)])
+    def test_short_data_blocks_equal_explicit_zero_rows(self, seed, rows, cols):
+        # rows of a and b without data fit zero: F and G padded with zeros to
+        # the stacked height give the same normal equations and cost
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((12, 7)), rng.standard_normal((15, 9))
+        f, g = rng.standard_normal((rows, 9)), rng.standard_normal((7, cols))
+        short = SylvesterSystem(a=a, b=b, f=f, g=g, shift=0.3)
+        padded = SylvesterSystem(a=a, b=b, f=np.vstack([f, np.zeros((12 - rows, 9))]),
+                                 g=np.hstack([g, np.zeros((7, 15 - cols))]), shift=0.3)
+        phi = rng.standard_normal((7, 9))
+        want = padded.rhs()
+        assert np.linalg.norm(short.rhs() - want) <= 1e-14 * np.linalg.norm(want)
+        assert short.residual(phi) == pytest.approx(padded.residual(phi), rel=1e-14)
+        assert short.cost(phi) == pytest.approx(padded.cost(phi), rel=1e-14)
 
     def test_null_vector_validation(self):
         d = diff_matrix(5, 1.0, 2)
